@@ -11,8 +11,9 @@ import json
 import sys
 from typing import Sequence
 
-from biparts import partitions, series, symbols, verify
+from biparts import partitions, symbols, verify
 from biparts.partitions import EnumerationCapError
+from biparts.report import Fault, FaultError, Recorder
 
 FORMATS = ("text", "json", "csv")
 
@@ -75,9 +76,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify_cmd = sub.add_parser(
         "verify",
         help="run one named verification (or all of them)",
-        epilog="--inject-fault corrupts one tapped series coefficient, e.g. "
-        "'firstproof.identity.lhs:7' or 'jacobi.lhs:3,-1:5'; it exists to "
-        "prove that the harness reports failures.",
+        epilog="--inject-fault corrupts one compared coefficient or value, e.g. "
+        "'firstproof.identity.lhs:7', 'euler.lhs:3' or 'jacobi.lhs:3,-1:5'; it "
+        "exists to prove that the harness reports failures.  A fault that is "
+        "malformed, out of range or never fires is a usage error.",
     )
     verify_cmd.add_argument("what", choices=["all", *verify.CHECKS])
     verify_cmd.add_argument(
@@ -194,38 +196,30 @@ def _cmd_symbols_counts(args) -> int:
     return 0
 
 
-def _parse_fault(spec: str, parser) -> tuple[str, tuple[int, ...], int]:
+def _parse_fault(spec: str) -> Fault:
+    """``TARGET:INDEX[:DELTA]``, INDEX being ``n`` or ``q,z``."""
+    target, _, rest = spec.partition(":")
+    index_text, _, delta_text = rest.partition(":")
     try:
-        pieces = spec.split(":")
-        if len(pieces) == 2:
-            target, index_text = pieces
-            delta = 1
-        elif len(pieces) == 3:
-            target, index_text, delta_text = pieces
-            delta = int(delta_text)
-        else:
-            raise ValueError(spec)
         location = tuple(int(part) for part in index_text.split(","))
-        if len(location) not in (1, 2):
-            raise ValueError(spec)
-        return target, location, delta
+        if len(location) in (1, 2):
+            return Fault(target, location, int(delta_text or 1))
     except ValueError:
-        parser.error(f"malformed --inject-fault spec: {spec!r}")
+        pass
+    raise FaultError(f"malformed --inject-fault spec: {spec!r}")
 
 
-def _cmd_verify(args, parser) -> int:
-    if args.inject_fault:
-        target, location, delta = _parse_fault(args.inject_fault, parser)
-        series.set_fault(target, location, delta)
-    try:
-        if args.what == "all":
-            reports = verify.run_all(args.max)
-        else:
-            reports = [verify.run_check(args.what, args.max)]
-    except EnumerationCapError as exc:
-        parser.error(str(exc))
-    finally:
-        series.clear_fault()
+def _cmd_verify(args) -> int:
+    recorder = Recorder(_parse_fault(args.inject_fault) if args.inject_fault else None)
+    if args.what == "all":
+        reports = verify.run_all(args.max, recorder)
+    else:
+        reports = [verify.run_check(args.what, args.max, recorder)]
+    if recorder.fault is not None and not recorder.fired:
+        raise FaultError(
+            f"--inject-fault {args.inject_fault!r} never fired: "
+            "no comparison that ran taps that target and location"
+        )
     if args.format == "json":
         text = json.dumps([report.to_dict() for report in reports], indent=2) + "\n"
     else:
@@ -254,8 +248,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             if args.symbols_command == "family":
                 return _cmd_symbols_family(args, parser)
             return _cmd_symbols_counts(args)
-        return _cmd_verify(args, parser)
-    except EnumerationCapError as exc:
+        return _cmd_verify(args)
+    except (EnumerationCapError, FaultError) as exc:
         parser.error(str(exc))
 
 

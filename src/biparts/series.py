@@ -8,11 +8,10 @@ throughout, so every comparison is exact.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from biparts import kernels, partitions
-from biparts.report import CheckReport, Mismatch, combine
+from biparts.report import CheckReport, Mismatch, Recorder, combine, compare_values
 
 
 class OrderMismatchError(ValueError):
@@ -120,7 +119,7 @@ class TruncatedSeries:
         if k < 0:
             raise ValueError("shift exponent must be nonnegative")
         return TruncatedSeries(
-            self.order, [0] * min(k, self.order + 1) + self.coeffs[: self.order + 1 - k]
+            self.order, [0] * min(k, self.order + 1) + self.coeffs[: max(self.order + 1 - k, 0)]
         )
 
     def dissect(self, modulus: int, residue: int) -> "TruncatedSeries":
@@ -339,258 +338,178 @@ class BivariateSeries:
 
 
 # ---------------------------------------------------------------------------
-# Fault injection.  Verification code routes every series it is about to
-# compare through _tap(); tests and the CLI can register a single-coefficient
-# corruption against a tap name to prove that the harness catches it.
-
-_FAULT: tuple[str, tuple[int, ...], int] | None = None
+# Comparison helpers producing reports.  Each taps its sides as
+# ``<check-id>.lhs`` and ``<check-id>.rhs``: a recorder holding a fault for
+# that side corrupts one coefficient before the comparison.
 
 
-def set_fault(target: str, location: tuple[int, ...], delta: int = 1) -> None:
-    """Corrupt the series tapped as ``target`` by delta at ``location``.
-
-    ``location`` is (index,) for a TruncatedSeries and (q_exp, z_exp) for a
-    BivariateSeries.
-    """
-    global _FAULT
-    _FAULT = (target, tuple(location), delta)
-
-
-def clear_fault() -> None:
-    global _FAULT
-    _FAULT = None
-
-
-def _tap(target: str, series):
-    if _FAULT is None or _FAULT[0] != target:
+def _faulted(series, target: str, recorder: Recorder):
+    """``series`` with the recorder's fault added, if it targets ``target``."""
+    bivariate = isinstance(series, BivariateSeries)
+    fault = recorder.tap(target, (series.order, None) if bivariate else (series.order,))
+    if fault is None:
         return series
-    _, location, delta = _FAULT
-    if isinstance(series, TruncatedSeries):
-        (index,) = location
-        coeffs = list(series.coeffs)
-        coeffs[index] += delta
-        return TruncatedSeries(series.order, coeffs)
-    q_exp, z_exp = location
-    rows = [dict(row) for row in series.rows]
-    rows[q_exp][z_exp] = rows[q_exp].get(z_exp, 0) + delta
-    return BivariateSeries(series.order, rows)
-
-
-# ---------------------------------------------------------------------------
-# Comparison helpers producing reports.
+    delta = recorder.fire(fault)
+    if bivariate:
+        q_exp, z_exp = fault.location
+        rows = [dict(row) for row in series.rows]
+        rows[q_exp][z_exp] = rows[q_exp].get(z_exp, 0) + delta
+        return BivariateSeries(series.order, rows)
+    coeffs = list(series.coeffs)
+    coeffs[fault.location[0]] += delta
+    return TruncatedSeries(series.order, coeffs)
 
 
 def compare_series(
-    check_id: str, title: str, lhs: TruncatedSeries, rhs: TruncatedSeries
+    check_id: str, title: str, lhs: TruncatedSeries, rhs: TruncatedSeries, recorder: Recorder
 ) -> CheckReport:
     if lhs.order != rhs.order:
         raise OrderMismatchError(f"orders differ: {lhs.order} != {rhs.order}")
-    lhs = _tap(f"{check_id}.lhs", lhs)
-    rhs = _tap(f"{check_id}.rhs", rhs)
+    lhs = _faulted(lhs, f"{check_id}.lhs", recorder)
+    rhs = _faulted(rhs, f"{check_id}.rhs", recorder)
     mismatch = None
     for i in range(min(lhs.order, rhs.order) + 1):
         if lhs.coeffs[i] != rhs.coeffs[i]:
             mismatch = Mismatch((i,), lhs.coeffs[i], rhs.coeffs[i])
             break
-    return CheckReport(
-        check_id, lhs.order, mismatch is None, mismatch=mismatch, note=title
-    )
+    return recorder.leaf(check_id, lhs.order, mismatch, title)
 
 
 def compare_bivariate(
-    check_id: str, title: str, lhs: BivariateSeries, rhs: BivariateSeries
+    check_id: str, title: str, lhs: BivariateSeries, rhs: BivariateSeries, recorder: Recorder
 ) -> CheckReport:
-    lhs = _tap(f"{check_id}.lhs", lhs)
-    rhs = _tap(f"{check_id}.rhs", rhs)
+    lhs = _faulted(lhs, f"{check_id}.lhs", recorder)
+    rhs = _faulted(rhs, f"{check_id}.rhs", recorder)
     found = lhs.first_mismatch(rhs)
     mismatch = None
     if found is not None:
         q_exp, z_exp, a, b = found
         mismatch = Mismatch((q_exp, z_exp), a, b, kind="q,z")
-    return CheckReport(
-        check_id, lhs.order, mismatch is None, mismatch=mismatch, note=title
-    )
-
-
-def compare_values(
-    check_id: str,
-    title: str,
-    bound: int,
-    pairs: Iterable[tuple[int, int, int]],
-) -> CheckReport:
-    """Compare (n, lhs, rhs) triples, reporting the first difference."""
-    mismatch = None
-    for n, lhs, rhs in pairs:
-        if lhs != rhs:
-            mismatch = Mismatch((n,), lhs, rhs, kind="n")
-            break
-    return CheckReport(
-        check_id, bound, mismatch is None, mismatch=mismatch, note=title
-    )
-
-
-def _timed(build: Callable[[], CheckReport]) -> CheckReport:
-    start = time.perf_counter()
-    result = build()
-    result.elapsed = time.perf_counter() - start
-    return result
+    return recorder.leaf(check_id, lhs.order, mismatch, title)
 
 
 # ---------------------------------------------------------------------------
 # Identity checks.
 
 
-def check_jacobi_triple_product(order: int) -> CheckReport:
+def check_jacobi_triple_product(order: int, recorder: Recorder) -> CheckReport:
     """Two-variable check of the triple product expansion.
 
     sum_{n in Z} q^(n(n+1)/2) z^n against
     prod_{k>=1} (1 + z q^k)(1 + z^-1 q^(k-1))(1 - q^k), both truncated at the
     given q-order.  Factors whose q-exponent exceeds the order are omitted.
     """
+    terms = []
+    n = 0
+    while n * (n + 1) // 2 <= order:
+        terms.append((n * (n + 1) // 2, n, 1))
+        n += 1
+    n = -1
+    while n * (n + 1) // 2 <= order:
+        terms.append((n * (n + 1) // 2, n, 1))
+        n -= 1
+    lhs = BivariateSeries.from_terms(order, terms)
 
-    def build() -> CheckReport:
-        terms = []
-        n = 0
-        while n * (n + 1) // 2 <= order:
-            terms.append((n * (n + 1) // 2, n, 1))
-            n += 1
-        n = -1
-        while n * (n + 1) // 2 <= order:
-            terms.append((n * (n + 1) // 2, n, 1))
-            n -= 1
-        lhs = BivariateSeries.from_terms(order, terms)
-
-        rhs = BivariateSeries.one(order)
-        for k in range(1, order + 2):
-            if k <= order:
-                rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 1, 1)])
-            if k - 1 <= order:
-                rhs = rhs * BivariateSeries.from_terms(
-                    order, [(0, 0, 1), (k - 1, -1, 1)]
-                )
-            if k <= order:
-                rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 0, -1)])
-        return compare_bivariate(
-            "jacobi",
-            "triple product: theta sum equals the three-factor product",
-            lhs,
-            rhs,
-        )
-
-    return _timed(build)
+    rhs = BivariateSeries.one(order)
+    for k in range(1, order + 2):
+        if k <= order:
+            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 1, 1)])
+        if k - 1 <= order:
+            rhs = rhs * BivariateSeries.from_terms(
+                order, [(0, 0, 1), (k - 1, -1, 1)]
+            )
+        if k <= order:
+            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 0, -1)])
+    return compare_bivariate(
+        "jacobi",
+        "triple product: theta sum equals the three-factor product",
+        lhs,
+        rhs,
+        recorder,
+    )
 
 
 #: Counting-level cross-check bound used inside check_theta_product_chain.
 DISTINCT_ODD_COUNT_BOUND = 40
 
 
-def check_theta_product_chain(order: int) -> CheckReport:
+def check_theta_product_chain(order: int, recorder: Recorder) -> CheckReport:
     """The alternating-square theta series against its product forms.
 
     Verifies sum (-1)^n q^(n^2) = prod (1-q^k)^2/(1-q^2k) together with the
     two intermediate products the derivation passes through, and the
     distinct-parts = odd-parts identity both as series and as counts.
     """
-
-    def build() -> CheckReport:
-        theta = theta_alternating(order)
-        children = [
-            compare_series(
-                "lemma22.ratio",
-                "theta equals prod (1-q^k)^2/(1-q^2k)",
-                theta,
-                product_series([(1, 1, 2), (2, 2, -1)], order),
-            ),
-            compare_series(
-                "lemma22.step1",
-                "theta equals prod (1-q^(2k-1))^2 (1-q^2k)",
-                theta,
-                product_series([(1, 2, 2), (2, 2, 1)], order),
-            ),
-            compare_series(
-                "lemma22.step2",
-                "theta equals prod (1-q^(2k-1)) (1-q^k)",
-                theta,
-                product_series([(1, 2, 1), (1, 1, 1)], order),
-            ),
-        ]
-        distinct = product_series([(2, 2, 1), (1, 1, -1)], order)
-        odd = product_series([(1, 2, -1)], order)
-        children.append(
-            compare_series(
-                "lemma22.distinct_odd",
-                "prod (1+q^k) equals prod 1/(1-q^(2k-1))",
-                distinct,
-                odd,
-            )
+    theta = theta_alternating(order)
+    children = [
+        compare_series(check_id, title, theta, product_series(factors, order), recorder)
+        for check_id, title, factors in (
+            ("lemma22.ratio", "theta equals prod (1-q^k)^2/(1-q^2k)", [(1, 1, 2), (2, 2, -1)]),
+            ("lemma22.step1", "theta equals prod (1-q^(2k-1))^2 (1-q^2k)", [(1, 2, 2), (2, 2, 1)]),
+            ("lemma22.step2", "theta equals prod (1-q^(2k-1)) (1-q^k)", [(1, 2, 1), (1, 1, 1)]),
         )
-        count_bound = min(order, DISTINCT_ODD_COUNT_BOUND)
-        children.append(
-            compare_values(
-                "lemma22.distinct_counts",
-                "distinct-parts counts match the product coefficients",
-                count_bound,
-                (
-                    (n, partitions.count_distinct_parts(n), distinct.coeffs[n])
-                    for n in range(count_bound + 1)
-                ),
-            )
+    ]
+    distinct = product_series([(2, 2, 1), (1, 1, -1)], order)
+    odd = product_series([(1, 2, -1)], order)
+    children.append(
+        compare_series(
+            "lemma22.distinct_odd",
+            "prod (1+q^k) equals prod 1/(1-q^(2k-1))",
+            distinct,
+            odd,
+            recorder,
         )
-        children.append(
-            compare_values(
-                "lemma22.odd_counts",
-                "odd-parts counts match the product coefficients",
-                count_bound,
-                (
-                    (n, partitions.count_odd_parts(n), odd.coeffs[n])
-                    for n in range(count_bound + 1)
-                ),
-            )
-        )
-        return combine("lemma22", order, children)
-
-    return _timed(build)
+    )
+    count_bound = min(order, DISTINCT_ODD_COUNT_BOUND)
+    for check_id, title, count, product in (
+        ("lemma22.distinct_counts", "distinct-parts counts match the product coefficients",
+         partitions.count_distinct_parts, distinct),
+        ("lemma22.odd_counts", "odd-parts counts match the product coefficients",
+         partitions.count_odd_parts, odd),
+    ):
+        pairs = ((n, count(n), product.coeffs[n]) for n in range(count_bound + 1))
+        children.append(compare_values(check_id, title, count_bound, pairs, recorder))
+    return combine("lemma22", order, children)
 
 
-def check_convolution_identity(order: int) -> CheckReport:
+def check_convolution_identity(order: int, recorder: Recorder) -> CheckReport:
     """(sum p2(n) q^n) * (sum (-1)^k q^(k^2)) = sum p(m) q^(2m).
 
     The left side comes from the product machinery, the right side from the
     recurrence tables, so the comparison crosses two independent routes.
     """
-
-    def build() -> CheckReport:
-        p2_product = bipartition_series(order)
-        p_product = partition_series(order)
-        children = [
-            compare_series(
-                "firstproof.p_table",
-                "partition product series matches the recurrence table",
-                p_product,
-                TruncatedSeries(order, partitions.partition_counts_upto(order)),
-            ),
-            compare_series(
-                "firstproof.p2_table",
-                "bipartition product series matches the recurrence table",
-                p2_product,
-                TruncatedSeries(order, partitions.bipartition_counts_upto(order)),
-            ),
-        ]
-        lhs = p2_product * theta_alternating(order)
-        rhs_coeffs = [0] * (order + 1)
-        for m in range(order // 2 + 1):
-            rhs_coeffs[2 * m] = partitions.partition_count(m)
-        children.append(
-            compare_series(
-                "firstproof.identity",
-                "bipartition series times alternating theta is the even-index partition series",
-                lhs,
-                TruncatedSeries(order, rhs_coeffs),
-            )
+    p2_product = bipartition_series(order)
+    p_product = partition_series(order)
+    children = [
+        compare_series(
+            "firstproof.p_table",
+            "partition product series matches the recurrence table",
+            p_product,
+            TruncatedSeries(order, partitions.partition_counts_upto(order)),
+            recorder,
+        ),
+        compare_series(
+            "firstproof.p2_table",
+            "bipartition product series matches the recurrence table",
+            p2_product,
+            TruncatedSeries(order, partitions.bipartition_counts_upto(order)),
+            recorder,
+        ),
+    ]
+    lhs = p2_product * theta_alternating(order)
+    rhs_coeffs = [0] * (order + 1)
+    for m in range(order // 2 + 1):
+        rhs_coeffs[2 * m] = partitions.partition_count(m)
+    children.append(
+        compare_series(
+            "firstproof.identity",
+            "bipartition series times alternating theta is the even-index partition series",
+            lhs,
+            TruncatedSeries(order, rhs_coeffs),
+            recorder,
         )
-        return combine("firstproof", order, children)
-
-    return _timed(build)
+    )
+    return combine("firstproof", order, children)
 
 
 # ---------------------------------------------------------------------------
@@ -689,29 +608,26 @@ def dissection_factor(order: int, powers: _LaurentPowers | None = None) -> Trunc
     return _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
 
 
-def check_factor_square(order: int = 16) -> CheckReport:
+def check_factor_square(recorder: Recorder, order: int = 16) -> CheckReport:
     """Square the nine-term factor with c as a formal variable and compare
     against the recorded seventeen-term expansion."""
-
-    def build() -> CheckReport:
-        factor = BivariateSeries.from_terms(
-            order, [(q, c, k) for c, k, q in DISSECTION_FACTOR_TERMS if q <= order]
-        )
-        expected = BivariateSeries.from_terms(
-            order,
-            [(q, c, k) for c, k, q in DISSECTION_FACTOR_SQUARE_TERMS if q <= order],
-        )
-        return compare_bivariate(
-            "appendix.factor_square",
-            "square of the dissection factor matches the recorded table",
-            factor * factor,
-            expected,
-        )
-
-    return _timed(build)
+    factor = BivariateSeries.from_terms(
+        order, [(q, c, k) for c, k, q in DISSECTION_FACTOR_TERMS if q <= order]
+    )
+    expected = BivariateSeries.from_terms(
+        order,
+        [(q, c, k) for c, k, q in DISSECTION_FACTOR_SQUARE_TERMS if q <= order],
+    )
+    return compare_bivariate(
+        "appendix.factor_square",
+        "square of the dissection factor matches the recorded table",
+        factor * factor,
+        expected,
+        recorder,
+    )
 
 
-def check_fifth_dissections(order: int) -> CheckReport:
+def check_fifth_dissections(order: int, recorder: Recorder) -> CheckReport:
     """The 5-adic structure of both counting series.
 
     Checks, to the given order: the dissection-factor forms of the partition
@@ -719,96 +635,90 @@ def check_fifth_dissections(order: int) -> CheckReport:
     series with their explicit multiple-of-5 right sides; and the classical
     residue-4 extraction of the partition series.
     """
+    p_table = TruncatedSeries(order, partitions.partition_counts_upto(order))
+    p2_table = TruncatedSeries(order, partitions.bipartition_counts_upto(order))
+    powers = _LaurentPowers(rogers_ramanujan_c(order))
+    factor = dissection_factor(order, powers)
+    prefactor5 = product_series([(25, 25, 5), (5, 5, -6)], order)
+    prefactor10 = product_series([(25, 25, 10), (5, 5, -12)], order)
 
-    def build() -> CheckReport:
-        p_table = TruncatedSeries(order, partitions.partition_counts_upto(order))
-        p2_table = TruncatedSeries(order, partitions.bipartition_counts_upto(order))
-        powers = _LaurentPowers(rogers_ramanujan_c(order))
-        factor = dissection_factor(order, powers)
-        prefactor5 = product_series([(25, 25, 5), (5, 5, -6)], order)
-        prefactor10 = product_series([(25, 25, 10), (5, 5, -12)], order)
-
-        children = [
+    children = [
+        compare_series(
+            "appendix.partition_form",
+            "partition series equals its eta-quotient times the dissection factor",
+            p_table,
+            prefactor5 * factor,
+            recorder,
+        ),
+        compare_series(
+            "appendix.bipartition_form",
+            "bipartition series equals its eta-quotient times the squared factor",
+            p2_table,
+            prefactor10 * (factor * factor),
+            recorder,
+        ),
+    ]
+    residue_terms = {
+        2: [(6, 1, 2), (1, 4, 7), (-4, 4, 12)],
+        3: [(5, 2, 3), (0, 3, 8), (-5, -2, 13)],
+        4: [(4, 4, 4), (-1, -4, 9), (-6, 1, 14)],
+    }
+    for residue, terms in residue_terms.items():
+        rhs = 5 * (prefactor10 * _laurent_combination(terms, powers, order))
+        children.append(
             compare_series(
-                "appendix.partition_form",
-                "partition series equals its eta-quotient times the dissection factor",
-                p_table,
-                prefactor5 * factor,
-            ),
+                f"appendix.dissect{residue}",
+                f"residue-{residue} part of the bipartition series is 5 times its stated form",
+                p2_table.dissect(5, residue),
+                rhs,
+                recorder,
+            )
+        )
+    if order >= 4:
+        children.append(
             compare_series(
-                "appendix.bipartition_form",
-                "bipartition series equals its eta-quotient times the squared factor",
-                p2_table,
-                prefactor10 * (factor * factor),
-            ),
-        ]
-        residue_terms = {
-            2: [(6, 1, 2), (1, 4, 7), (-4, 4, 12)],
-            3: [(5, 2, 3), (0, 3, 8), (-5, -2, 13)],
-            4: [(4, 4, 4), (-1, -4, 9), (-6, 1, 14)],
-        }
-        for residue, terms in residue_terms.items():
-            rhs = 5 * (prefactor10 * _laurent_combination(terms, powers, order))
-            children.append(
-                compare_series(
-                    f"appendix.dissect{residue}",
-                    f"residue-{residue} part of the bipartition series is 5 times its stated form",
-                    p2_table.dissect(5, residue),
-                    rhs,
-                )
+                "appendix.ramanujan",
+                "residue-4 part of the partition series is 5 q^4 times the eta-quotient",
+                p_table.dissect(5, 4),
+                (5 * prefactor5).shift(4),
+                recorder,
             )
-        if order >= 4:
-            children.append(
-                compare_series(
-                    "appendix.ramanujan",
-                    "residue-4 part of the partition series is 5 q^4 times the eta-quotient",
-                    p_table.dissect(5, 4),
-                    (5 * prefactor5).shift(4),
-                )
-            )
-        return combine("appendix.dissections", order, children)
-
-    return _timed(build)
+        )
+    return combine("appendix.dissections", order, children)
 
 
-def check_quintic_identities(order: int) -> CheckReport:
+def check_quintic_identities(order: int, recorder: Recorder) -> CheckReport:
     """Everything mod-5: the factor-square table plus the dissection identities."""
-
-    def build() -> CheckReport:
-        children = [check_factor_square(), check_fifth_dissections(order)]
-        return combine("appendix", order, children)
-
-    return _timed(build)
+    children = [check_factor_square(recorder), check_fifth_dissections(order, recorder)]
+    return combine("appendix", order, children)
 
 
-def check_mod5_congruences(bound: int) -> CheckReport:
+def check_mod5_congruences(bound: int, recorder: Recorder) -> CheckReport:
     """Residue check on the tables: p2(m) = 0 mod 5 whenever m = 2,3,4 mod 5,
     and p(5n+4) = 0 mod 5."""
-
-    def build() -> CheckReport:
-        p2_pairs = (
-            (m, partitions.bipartition_count(m) % 5, 0)
-            for m in range(bound + 1)
-            if m % 5 in (2, 3, 4)
-        )
-        p_pairs = (
-            (m, partitions.partition_count(m) % 5, 0)
-            for m in range(4, bound + 1, 5)
-        )
-        children = [
-            compare_values(
-                "congruence.bipartition",
-                "bipartition counts vanish mod 5 at residues 2, 3, 4",
-                bound,
-                p2_pairs,
-            ),
-            compare_values(
-                "congruence.partition",
-                "partition counts vanish mod 5 at residue 4",
-                bound,
-                p_pairs,
-            ),
-        ]
-        return combine("congruence", bound, children)
-
-    return _timed(build)
+    p2_pairs = (
+        (m, partitions.bipartition_count(m) % 5, 0)
+        for m in range(bound + 1)
+        if m % 5 in (2, 3, 4)
+    )
+    p_pairs = (
+        (m, partitions.partition_count(m) % 5, 0)
+        for m in range(4, bound + 1, 5)
+    )
+    children = [
+        compare_values(
+            "congruence.bipartition",
+            "bipartition counts vanish mod 5 at residues 2, 3, 4",
+            bound,
+            p2_pairs,
+            recorder,
+        ),
+        compare_values(
+            "congruence.partition",
+            "partition counts vanish mod 5 at residue 4",
+            bound,
+            p_pairs,
+            recorder,
+        ),
+    ]
+    return combine("congruence", bound, children)

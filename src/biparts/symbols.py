@@ -10,7 +10,6 @@ reduced member (the one without a 0 in both rows).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -24,7 +23,7 @@ from biparts.partitions import (
     enumerate_bipartitions,
     partition_count,
 )
-from biparts.report import CheckReport, Mismatch, combine
+from biparts.report import CheckReport, Mismatch, Recorder, combine, compare_values
 
 
 class Symbol:
@@ -346,30 +345,27 @@ def class_counts(n: int, method: str = "recurrence") -> ClassCounts:
     return ClassCounts(plus, minus, by_defect)
 
 
-def check_class_count_difference(bound: int, enum_bound: int = 12) -> CheckReport:
+def check_class_count_difference(
+    bound: int, recorder: Recorder, enum_bound: int = 12
+) -> CheckReport:
     """plus-counts minus minus-counts equals the degenerate count p(n/2).
 
     Verified from the recurrence tables up to ``bound`` and re-verified by
     full class enumeration up to ``enum_bound``.
     """
-    start = time.perf_counter()
-    children = []
-    mismatch = None
-    for n in range(bound + 1):
-        counts = class_counts(n)
-        expected = partition_count(n // 2) if n % 2 == 0 else 0
-        if counts.plus - counts.minus != expected:
-            mismatch = Mismatch((n,), counts.plus - counts.minus, expected, kind="n")
-            break
-    children.append(
-        CheckReport(
+    children = [
+        compare_values(
             "corollary.recurrence",
+            "signed class-count difference equals the degenerate count",
             bound,
-            mismatch is None,
-            mismatch=mismatch,
-            note="signed class-count difference equals the degenerate count",
+            (
+                (n, counts.plus - counts.minus, partition_count(n // 2) if n % 2 == 0 else 0)
+                for n in range(bound + 1)
+                for counts in (class_counts(n),)
+            ),
+            recorder,
         )
-    )
+    ]
     mismatch = None
     for n in range(min(enum_bound, bound) + 1):
         by_table = class_counts(n).by_defect
@@ -379,20 +375,17 @@ def check_class_count_difference(bound: int, enum_bound: int = 12) -> CheckRepor
             mismatch = Mismatch((n,), by_table[diff], by_enum.get(diff, -1), kind="n")
             break
     children.append(
-        CheckReport(
+        recorder.leaf(
             "corollary.enumeration",
             min(enum_bound, bound),
-            mismatch is None,
-            mismatch=mismatch,
-            note="recurrence counts agree with explicit class enumeration",
+            mismatch,
+            "recurrence counts agree with explicit class enumeration",
         )
     )
-    result = combine("corollary", bound, children)
-    result.elapsed = time.perf_counter() - start
-    return result
+    return combine("corollary", bound, children)
 
 
-def check_family_partition(bound: int) -> CheckReport:
+def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     """Families of special symbols partition the even-defect classes.
 
     For each rank n <= bound: families generated from the special defect-0
@@ -400,7 +393,6 @@ def check_family_partition(bound: int) -> CheckReport:
     each flipped subset at defect -2*defect(subset), and have sizes
     4^degree summing to the total class count.
     """
-    start = time.perf_counter()
     if bipartition_count(bound) > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"p2({bound}) exceeds the enumeration cap; lower the bound"
@@ -451,14 +443,11 @@ def check_family_partition(bound: int) -> CheckReport:
             mismatch = Mismatch((n,), size_total, len(all_classes), kind="n")
             note = "family sizes do not sum to the class count"
         children.append(
-            CheckReport(
+            recorder.leaf(
                 f"families.n{n}",
                 n,
-                mismatch is None,
-                mismatch=mismatch,
-                note=note or f"families partition the {len(all_classes)} classes of rank {n}",
+                mismatch,
+                note or f"families partition the {len(all_classes)} classes of rank {n}",
             )
         )
-    result = combine("families", bound, children)
-    result.elapsed = time.perf_counter() - start
-    return result
+    return combine("families", bound, children)

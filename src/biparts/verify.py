@@ -6,52 +6,45 @@ chosen to run the full battery in well under a minute.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 from biparts import partitions, series, symbols
-from biparts.report import CheckReport, Mismatch, combine
+from biparts.report import CheckReport, Recorder, combine, compare_values
 
 
-def check_partition_recursion(bound: int) -> CheckReport:
+def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Pentagonal-recurrence counts against the enumeration oracle."""
-    start = time.perf_counter()
     # refuse up front: the per-call cap would otherwise fire only after the
     # smaller ranks were enumerated in full
     if partitions.partition_count(bound) > partitions.ENUMERATION_CAP:
         raise partitions.EnumerationCapError(
             f"p({bound}) exceeds the enumeration cap; lower the bound"
         )
-    mismatch = None
-    for n in range(bound + 1):
-        expected = len(partitions.enumerate_partitions(n))
-        got = partitions.partition_count(n)
-        if got != expected:
-            mismatch = Mismatch((n,), got, expected, kind="n")
-            break
-    report = CheckReport(
+    return compare_values(
         "euler",
+        "recurrence equals exhaustive partition enumeration",
         bound,
-        mismatch is None,
-        mismatch=mismatch,
-        note="recurrence equals exhaustive partition enumeration",
+        (
+            (n, partitions.partition_count(n), len(partitions.enumerate_partitions(n)))
+            for n in range(bound + 1)
+        ),
+        recorder,
     )
-    report.elapsed = time.perf_counter() - start
-    return report
 
 
 #: Enumeration cross-check bound inside check_bipartition_recursion.
 BIPARTITION_ENUM_BOUND = 25
 
 
-def check_bipartition_recursion(bound: int, enum_bound: int | None = None) -> CheckReport:
+def check_bipartition_recursion(
+    bound: int, recorder: Recorder, enum_bound: int | None = None
+) -> CheckReport:
     """Square-recurrence counts against convolution and enumeration."""
-    start = time.perf_counter()
     if enum_bound is None:
         enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
     children = [
-        series.compare_values(
+        compare_values(
             "thm1.convolution",
             "square recurrence equals the convolution of the partition table",
             bound,
@@ -63,8 +56,9 @@ def check_bipartition_recursion(bound: int, enum_bound: int | None = None) -> Ch
                 )
                 for n in range(bound + 1)
             ),
+            recorder,
         ),
-        series.compare_values(
+        compare_values(
             "thm1.enumeration",
             "square recurrence equals exhaustive bipartition enumeration",
             enum_bound,
@@ -72,8 +66,9 @@ def check_bipartition_recursion(bound: int, enum_bound: int | None = None) -> Ch
                 (n, partitions.bipartition_count(n), len(partitions.enumerate_bipartitions(n)))
                 for n in range(enum_bound + 1)
             ),
+            recorder,
         ),
-        series.compare_values(
+        compare_values(
             "thm1.degenerate",
             "degenerate count matches the transpose-fixed bipartitions",
             enum_bound,
@@ -85,17 +80,16 @@ def check_bipartition_recursion(bound: int, enum_bound: int | None = None) -> Ch
                 )
                 for n in range(enum_bound + 1)
             ),
+            recorder,
         ),
     ]
-    report = combine("thm1", bound, children)
-    report.elapsed = time.perf_counter() - start
-    return report
+    return combine("thm1", bound, children)
 
 
 @dataclass(frozen=True)
 class Check:
     name: str
-    run: Callable[[int], CheckReport]
+    run: Callable[[int, Recorder], CheckReport]
     default_bound: int
     description: str
 
@@ -161,23 +155,27 @@ CHECKS: dict[str, Check] = {
 }
 
 
-def run_check(name: str, bound: int | None = None) -> CheckReport:
+def run_check(
+    name: str, bound: int | None = None, recorder: Recorder | None = None
+) -> CheckReport:
     """Run one named check at the given (or default) bound."""
     check = CHECKS[name]
-    return check.run(check.default_bound if bound is None else bound)
+    bound = check.default_bound if bound is None else bound
+    return (recorder or Recorder()).run(check.run, bound)
 
 
-def run_all(bound: int | None = None) -> list[CheckReport]:
-    """Run every check.
+def run_all(bound: int | None = None, recorder: Recorder | None = None) -> list[CheckReport]:
+    """Run every check through ``recorder`` (by default a fresh one per check).
 
     With an explicit bound, each check runs at min(bound, its default) so a
     small bound gives a quick smoke pass and a huge one cannot push the
     enumeration-backed checks past feasibility.
     """
-    reports = []
-    for check in CHECKS.values():
-        effective = (
-            check.default_bound if bound is None else min(bound, check.default_bound)
+    return [
+        run_check(
+            name,
+            check.default_bound if bound is None else min(bound, check.default_bound),
+            recorder,
         )
-        reports.append(check.run(effective))
-    return reports
+        for name, check in CHECKS.items()
+    ]

@@ -25,6 +25,7 @@ from golden import (
 
 from biparts import partitions, series, symbols
 from biparts.partitions import CountCache
+from biparts.report import Recorder
 from biparts.symbols import SpecialSymbol, Symbol, SymbolClass
 
 
@@ -130,7 +131,7 @@ def test_criterion_7_series_identities():
         ("triple product", series.check_jacobi_triple_product, 200),
         ("convolution identity", series.check_convolution_identity, 1000),
     ]:
-        report = build(bound)
+        report = Recorder().run(build, bound)
         assert report.passed, report.render()
         assert report.elapsed < 30.0, f"{name} took {report.elapsed:.1f}s"
         budgets[name] = report.elapsed
@@ -146,10 +147,10 @@ def test_criterion_7_series_identities():
 
 
 def test_criterion_8_five_dissection_and_congruences():
-    assert series.check_factor_square().passed
-    report = series.check_fifth_dissections(500)
+    assert series.check_factor_square(Recorder()).passed
+    report = series.check_fifth_dissections(500, Recorder())
     assert report.passed, report.render()
-    congruences = series.check_mod5_congruences(10_000)
+    congruences = series.check_mod5_congruences(10_000, Recorder())
     assert congruences.passed, congruences.render()
     announce(8, "factor-square table, dissections to 500, congruences to 10000")
 

@@ -188,13 +188,50 @@ class TestVerify:
         code, _ = run_cli(capsys, "verify", "firstproof", "--max", "60")
         assert code == 0
 
-    def test_malformed_fault_spec(self):
-        run_cli_expect_usage_error(
-            "verify", "firstproof", "--inject-fault", "no-colon"
+    def test_malformed_fault_spec(self, capsys):
+        for what, spec in [
+            ("firstproof", "no-colon"),
+            ("firstproof", "a:1,2,3"),
+            ("firstproof", "firstproof.identity.lhs:9999"),  # past the order
+            ("jacobi", "jacobi.rhs:999,0"),
+            ("firstproof", "firstproof.identity.lhs:-1"),
+            ("firstproof", "firstproof.identity.lhs:3,1"),  # wrong arity
+            ("firstproof", "firstproof.identity.lhs:7:0"),  # zero delta
+            ("firstproof", "nosuch.lhs:3"),  # never fires
+            ("firstproof", "lemma22.ratio.lhs:3"),  # check that did not run
+            ("congruence", "congruence.bipartition.lhs:5"),  # n never compared
+            ("families", "families.n3.lhs:1"),  # untappable comparison
+            ("corollary", "corollary.enumeration.rhs:2"),
+        ]:
+            run_cli_expect_usage_error("verify", what, "--max", "8", "--inject-fault", spec)
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 2 and err[0].startswith("usage:"), (spec, err)
+
+    def test_fault_in_value_comparison(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "euler", "--max", "10", "--inject-fault", "euler.lhs:3"
         )
-        run_cli_expect_usage_error(
-            "verify", "firstproof", "--inject-fault", "a:1,2,3"
-        )
+        assert code == 1
+        assert "first mismatch at n=3: 4 != 3" in out
+
+    def test_json_elapsed_is_per_subcheck(self, capsys):
+        code, out = run_cli(capsys, "verify", "all", "--max", "20", "--format", "json")
+        assert code == 0
+
+        def walk(report, top):
+            children = report.get("children", [])
+            total = sum(child["elapsed"] for child in children)
+            if not children:
+                assert report["elapsed"] > 0, report["name"]
+            elif top:
+                assert report["elapsed"] >= total, report["name"]
+            else:
+                assert report["elapsed"] == pytest.approx(total), report["name"]
+            for child in children:
+                walk(child, top=False)
+
+        for report in json.loads(out):
+            walk(report, top=True)
 
     def test_fault_in_all_mode(self, capsys):
         code, out = run_cli(
@@ -204,6 +241,18 @@ class TestVerify:
         )
         assert code == 1
         assert "first mismatch at index 9" in out
+
+
+def test_out_of_range_fault_exits_2_without_traceback():
+    proc = subprocess.run(
+        [sys.executable, "-m", "biparts.cli", "verify", "firstproof", "--max", "30",
+         "--inject-fault", "firstproof.identity.lhs:9999"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "outside firstproof.identity.lhs" in proc.stderr
 
 
 def test_entry_point_subprocess():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biparts import partitions, series
+from biparts.report import Fault, Recorder
 from biparts.series import (
     BivariateSeries,
     OrderMismatchError,
@@ -21,12 +24,10 @@ from biparts.series import (
     check_mod5_congruences,
     check_quintic_identities,
     check_theta_product_chain,
-    clear_fault,
     dissection_factor,
     partition_series,
     product_series,
     rogers_ramanujan_c,
-    set_fault,
     theta_alternating,
 )
 
@@ -40,12 +41,6 @@ unit_series_strategy = st.tuples(
     st.sampled_from([1, -1]),
     st.lists(st.integers(-9, 9), min_size=ORDER, max_size=ORDER),
 ).map(lambda pair: TruncatedSeries(ORDER, [pair[0], *pair[1]]))
-
-
-@pytest.fixture(autouse=True)
-def _no_leftover_fault():
-    yield
-    clear_fault()
 
 
 class TestTruncatedSeries:
@@ -90,6 +85,8 @@ class TestTruncatedSeries:
         s = TruncatedSeries(4, [1, 2, 3])
         assert s.shift(2).coeffs == [0, 0, 1, 2, 3]
         assert s.shift(0) == s
+        assert s.shift(7) == TruncatedSeries.zero(4)
+        assert s.shift(99) == TruncatedSeries.zero(4)
 
     def test_dissect(self):
         s = TruncatedSeries(6, [1, 2, 3, 4, 5, 6, 7])
@@ -245,12 +242,12 @@ class TestDissectionFactor:
         assert f.coeffs[4] == 5  # the bare 5 q^4 term
 
     def test_factor_square_table(self):
-        assert check_factor_square().passed
+        assert check_factor_square(Recorder()).passed
 
 
 class TestChecks:
     def test_jacobi_order_zero_rows(self):
-        report = check_jacobi_triple_product(0)
+        report = check_jacobi_triple_product(0, Recorder())
         assert report.passed
         # both sides equal {z^0: 1, z^-1: 1} at q^0: the n = 0 and n = -1 terms
         lhs = BivariateSeries.from_terms(0, [(0, 0, 1), (0, -1, 1)])
@@ -258,7 +255,7 @@ class TestChecks:
         assert lhs == rhs
 
     def test_jacobi_passes(self):
-        assert check_jacobi_triple_product(30).passed
+        assert check_jacobi_triple_product(30, Recorder()).passed
 
     def test_jacobi_catches_missing_factor(self):
         # rebuild the product without the (1 - q^k) factors: must mismatch
@@ -279,17 +276,17 @@ class TestChecks:
                 rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 1, 1)])
             if k - 1 <= order:
                 rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k - 1, -1, 1)])
-        report = series.compare_bivariate("broken", "no eta factors", lhs, rhs)
+        report = series.compare_bivariate("broken", "no eta factors", lhs, rhs, Recorder())
         assert not report.passed
         assert report.mismatch is not None
 
     def test_theta_chain_passes(self):
-        report = check_theta_product_chain(120)
+        report = check_theta_product_chain(120, Recorder())
         assert report.passed
         assert len(report.children) == 6
 
     def test_convolution_identity_passes(self):
-        assert check_convolution_identity(150).passed
+        assert check_convolution_identity(150, Recorder()).passed
 
     def test_convolution_identity_odd_indices_vanish(self):
         lhs = bipartition_series(31) * theta_alternating(31)
@@ -300,7 +297,7 @@ class TestChecks:
         assert lhs.coeffs[4] == partitions.partition_count(2)
 
     def test_fifth_dissections_pass(self):
-        report = check_fifth_dissections(120)
+        report = check_fifth_dissections(120, Recorder())
         assert report.passed
 
     def test_dissection_residue2_leading_coefficient(self):
@@ -309,10 +306,10 @@ class TestChecks:
         assert p2.dissect(5, 2).coeffs[2] == 5
 
     def test_congruences_pass(self):
-        assert check_mod5_congruences(600).passed
+        assert check_mod5_congruences(600, Recorder()).passed
 
     def test_quintic_aggregate(self):
-        report = check_quintic_identities(60)
+        report = check_quintic_identities(60, Recorder())
         assert report.passed
         assert {child.name for child in report.children} == {
             "appendix.factor_square",
@@ -322,26 +319,56 @@ class TestChecks:
 
 class TestFaultInjection:
     def test_fault_breaks_named_check_at_location(self):
-        set_fault("firstproof.identity.lhs", (7,), 3)
-        report = check_convolution_identity(40)
+        recorder = Recorder(Fault("firstproof.identity.lhs", (7,), 3))
+        report = check_convolution_identity(40, recorder)
         assert not report.passed
         assert report.mismatch is not None
         assert report.mismatch.location == (7,)
-        clear_fault()
-        assert check_convolution_identity(40).passed
+        assert recorder.fired == 1
+        assert check_convolution_identity(40, Recorder()).passed
 
     def test_fault_on_other_target_is_inert(self):
-        set_fault("lemma22.ratio.lhs", (3,), 1)
-        assert check_convolution_identity(40).passed
+        recorder = Recorder(Fault("lemma22.ratio.lhs", (3,), 1))
+        assert check_convolution_identity(40, recorder).passed
+        assert recorder.fired == 0
 
     def test_bivariate_fault(self):
-        set_fault("jacobi.rhs", (2, 1), -2)
-        report = check_jacobi_triple_product(10)
+        recorder = Recorder(Fault("jacobi.rhs", (2, 1), -2))
+        report = check_jacobi_triple_product(10, recorder)
         assert not report.passed
         assert report.mismatch.location == (2, 1)
         assert report.mismatch.kind == "q,z"
 
-    def test_value_fault_in_congruence_is_impossible(self):
-        # congruence checks tap no series; a fault spec aimed at them is inert
-        set_fault("congruence.bipartition.lhs", (2,), 1)
-        assert check_mod5_congruences(100).passed
+    def test_value_fault_in_congruence_fires(self):
+        recorder = Recorder(Fault("congruence.bipartition.lhs", (2,), 1))
+        report = check_mod5_congruences(100, recorder)
+        assert not report.passed
+        assert report.mismatch.location == (2,)
+        assert recorder.fired == 1
+
+    def test_concurrent_recorders_are_independent(self):
+        # a fault belongs to its recorder: a clean run alongside a faulted one
+        # must still pass
+        results = {}
+        recorders = {
+            "faulted": Recorder(Fault("firstproof.identity.lhs", (7,), 3)),
+            "clean": Recorder(),
+        }
+
+        def run(name):
+            results[name] = check_convolution_identity(40, recorders[name])
+
+        threads = [threading.Thread(target=run, args=(name,)) for name in recorders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results["clean"].passed
+        assert results["faulted"].mismatch.location == (7,)
+        assert (recorders["faulted"].fired, recorders["clean"].fired) == (1, 0)

@@ -15,6 +15,7 @@ from golden import (
 )
 
 from biparts.partitions import Bipartition, Partition, bipartition_count
+from biparts.report import Recorder
 from biparts.symbols import (
     FamilyMember,
     SpecialSymbol,
@@ -331,11 +332,11 @@ class TestClassCounts:
 
 class TestChecks:
     def test_class_count_difference(self):
-        report = check_class_count_difference(200, enum_bound=10)
+        report = check_class_count_difference(200, Recorder(), enum_bound=10)
         assert report.passed
         assert len(report.children) == 2
 
     def test_family_partition(self):
-        report = check_family_partition(8)
+        report = check_family_partition(8, Recorder())
         assert report.passed
         assert len(report.children) == 9
