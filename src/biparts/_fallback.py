@@ -7,6 +7,55 @@ integers, so the compiled version only removes interpreter overhead.
 
 from __future__ import annotations
 
+from math import isqrt
+from operator import add, sub
+
+
+#: Block length of the blocked recurrences.  An offset of at least BLOCK
+#: reaches only entries of earlier blocks, so its terms for a whole block are
+#: added at once as a slice; only offsets below BLOCK run entry by entry.
+BLOCK = 1024
+
+
+def _extend_blocked(
+    table: list, upto: int, plus: list, minus: list, half: list | None = None
+) -> None:
+    """Grow ``table`` in place to index ``upto`` by a signed-offset recurrence.
+
+    table[n] = S(n), or half[n/2] [n even] + 2 S(n) when ``half`` is given,
+    where S(n) = sum of table[n - g] over g in ``plus`` minus the same sum
+    over ``minus`` (ascending positive offsets, terms with g > n omitted).
+    """
+    n = len(table)
+    # growth shorter than a block (the usual one-entry cache extension) runs
+    # entry by entry: slices that short cost more than they save
+    reach = BLOCK if upto + 1 - n >= BLOCK else upto + 1
+    near_plus = [g for g in plus if g < reach]
+    near_minus = [g for g in minus if g < reach]
+    far = ((plus[len(near_plus) :], add), (minus[len(near_minus) :], sub))
+    while n <= upto:
+        end = min(n + BLOCK, upto + 1)
+        acc = [0] * (end - n)
+        for offsets, op in far:
+            for g in offsets:
+                if g >= end:
+                    break
+                lo = max(n, g) - n
+                acc[lo:] = map(op, acc[lo:], table[n + lo - g : end - g])
+        for m, s in zip(range(n, end), acc):
+            for g in near_plus:
+                if g > m:
+                    break
+                s += table[m - g]
+            for g in near_minus:
+                if g > m:
+                    break
+                s -= table[m - g]
+            if half is not None:
+                s = s + s + (0 if m & 1 else half[m >> 1])
+            table.append(s)
+        n = end
+
 
 def extend_partition_table(table: list, upto: int) -> None:
     """Grow ``table`` in place so that table[n] counts partitions of n.
@@ -15,11 +64,8 @@ def extend_partition_table(table: list, upto: int) -> None:
     p(n) = sum_{k>=1} (-1)^(k-1) [p(n - k(3k-1)/2) + p(n - k(3k+1)/2)].
     ``table`` must already hold a correct prefix starting with table[0] == 1.
     """
-    n = len(table)
-    if upto < n:
+    if upto < len(table):
         return
-    # pentagonal offsets split by sign, ascending; hoisted out of the fill
-    # loop so the hot path is two bare index-and-add scans
     plus, minus = [], []
     k = 1
     while True:
@@ -31,20 +77,7 @@ def extend_partition_table(table: list, upto: int) -> None:
         if g + k <= upto:
             target.append(g + k)
         k += 1
-    plus.sort()
-    minus.sort()
-    while n <= upto:
-        acc = 0
-        for g in plus:
-            if g > n:
-                break
-            acc += table[n - g]
-        for g in minus:
-            if g > n:
-                break
-            acc -= table[n - g]
-        table.append(acc)
-        n += 1
+    _extend_blocked(table, upto, plus, minus)
 
 
 def extend_bipartition_table(table: list, ptable: list, upto: int) -> None:
@@ -54,21 +87,8 @@ def extend_bipartition_table(table: list, ptable: list, upto: int) -> None:
     where the p(n/2) term contributes only for even n.  ``ptable`` must
     cover index upto // 2.
     """
-    n = len(table)
-    while n <= upto:
-        acc = ptable[n >> 1] if not (n & 1) else 0
-        k = 1
-        ksq = 1
-        while ksq <= n:
-            t = table[n - ksq]
-            if k & 1:
-                acc += t + t
-            else:
-                acc -= t + t
-            k += 1
-            ksq = k * k
-        table.append(acc)
-        n += 1
+    squares = [k * k for k in range(1, isqrt(max(upto, 0)) + 1)]
+    _extend_blocked(table, upto, squares[0::2], squares[1::2], half=ptable)
 
 
 def extend_self_convolution(out: list, src: list, upto: int) -> None:

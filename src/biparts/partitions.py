@@ -40,6 +40,8 @@ class Partition:
         parts = tuple(parts)
         previous = None
         for p in parts:
+            if type(p) is not int:
+                raise ValueError(f"parts must be integers: {parts}")
             if p < 1:
                 raise ValueError(f"parts must be positive: {parts}")
             if previous is not None and previous < p:
@@ -219,21 +221,49 @@ def bipartition_counts_upto(n: int) -> list:
     return _CACHE.bipartition_prefix(n)
 
 
-def _partitions_below(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
+def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n as tuples, lexicographically decreasing (ZS1).
+
+    Zoghbi and Stojmenovic's iterative algorithm: ``x[:h + 1]`` holds the
+    parts larger than 1 and ``x[h + 1:m]`` the trailing 1s.  Each step
+    lowers the last part above 1 by one and refills the tail greedily with
+    parts no larger than it, so no partition is built by recursion.
+    """
+    if n < 0:
+        return
     if n == 0:
         yield ()
         return
-    for first in range(min(n, maxpart), 0, -1):
-        for rest in _partitions_below(n - first, first):
-            yield (first,) + rest
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    yield (n,)
+    while x[0] != 1:
+        if x[h] == 2:
+            x[h] = 1
+            m += 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h  # the lowered unit plus the trailing 1s
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h + 1
+            else:
+                m = h + 2
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        yield tuple(x[:m])
 
 
 def iter_partitions(n: int) -> Iterator[Partition]:
     """Yield the partitions of n in lexicographically decreasing order."""
-    if n < 0:
-        return
-    for parts in _partitions_below(n, n):
-        yield Partition(parts)
+    return map(Partition, _partition_tuples(n))
 
 
 def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
@@ -254,12 +284,17 @@ def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
 
 
 def iter_bipartitions(n: int) -> Iterator[Bipartition]:
-    """Yield bipartitions of n: top weight descending, then row order."""
+    """Yield bipartitions of n: top weight descending, then row order.
+
+    The bottom rows of each top weight are listed once and reused for every
+    top; nothing beyond them is built ahead of the first item.
+    """
     if n < 0:
         return
     for a in range(n, -1, -1):
+        bottoms = list(iter_partitions(n - a))
         for top in iter_partitions(a):
-            for bottom in iter_partitions(n - a):
+            for bottom in bottoms:
                 yield Bipartition(top, bottom)
 
 

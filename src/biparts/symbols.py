@@ -38,6 +38,8 @@ class Symbol:
     @staticmethod
     def _check_row(row: tuple[int, ...]) -> tuple[int, ...]:
         for i, value in enumerate(row):
+            if type(value) is not int:
+                raise ValueError(f"entries must be integers: {row}")
             if value < 0:
                 raise ValueError(f"entries must be nonnegative: {row}")
             if i and row[i - 1] <= value:

@@ -129,6 +129,8 @@ class TestSymbolsCommands:
         run_cli_expect_usage_error("symbols", "family", "--symbol", "not a symbol")
         run_cli_expect_usage_error("symbols", "family", "--symbol", "3,0;2,1")
         run_cli_expect_usage_error("symbols", "family", "--symbol", "4,0;-")
+        run_cli_expect_usage_error("symbols", "family", "--symbol", "2.5;-")
+        run_cli_expect_usage_error("symbols", "family", "--symbol", "True;-")
 
 
 class TestVerify:
@@ -232,6 +234,26 @@ class TestVerify:
 
         for report in json.loads(out):
             walk(report, top=True)
+
+    @pytest.mark.parametrize(
+        "leaf, spec, where",
+        [
+            ("thm1.enumeration", "thm1.enumeration.rhs:5", "n=5: 36 != 37"),
+            ("thm1.degenerate", "thm1.degenerate.rhs:4", "n=4: 2 != 3"),
+        ],
+    )
+    def test_thm1_enumeration_faults(self, capsys, leaf, spec, where):
+        code, out = run_cli(capsys, "verify", "thm1", "--max", "30", "--inject-fault", spec)
+        assert code == 1
+        assert f"FAIL  {leaf} (bound=25)" in out
+        assert f"first mismatch at {where}" in out
+
+    def test_thm1_time_is_in_enumeration(self, capsys):
+        code, out = run_cli(capsys, "verify", "all", "--max", "22", "--format", "json")
+        assert code == 0
+        thm1 = next(r for r in json.loads(out) if r["name"] == "thm1")
+        slowest = max(thm1["children"], key=lambda child: child["elapsed"])
+        assert slowest["name"] == "thm1.enumeration"
 
     def test_fault_in_all_mode(self, capsys):
         code, out = run_cli(

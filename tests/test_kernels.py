@@ -35,6 +35,93 @@ def naive_convolution(a: list[int], b: list[int], order: int) -> list[int]:
     return out
 
 
+def sequential_partition_table(table: list, upto: int) -> None:
+    """The entry-by-entry pentagonal recurrence the blocked kernel replaced."""
+    n = len(table)
+    plus, minus = [], []
+    k = 1
+    while True:
+        g = (k * (3 * k - 1)) >> 1
+        if g > upto:
+            break
+        target = plus if k & 1 else minus
+        target.append(g)
+        if g + k <= upto:
+            target.append(g + k)
+        k += 1
+    plus.sort()
+    minus.sort()
+    while n <= upto:
+        acc = 0
+        for g in plus:
+            if g > n:
+                break
+            acc += table[n - g]
+        for g in minus:
+            if g > n:
+                break
+            acc -= table[n - g]
+        table.append(acc)
+        n += 1
+
+
+def sequential_bipartition_table(table: list, ptable: list, upto: int) -> None:
+    """The entry-by-entry square recurrence the blocked kernel replaced."""
+    n = len(table)
+    while n <= upto:
+        acc = ptable[n >> 1] if not (n & 1) else 0
+        k = 1
+        while k * k <= n:
+            t = table[n - k * k]
+            acc += t + t if k & 1 else -(t + t)
+            k += 1
+        table.append(acc)
+        n += 1
+
+
+B = _fallback.BLOCK
+ONE_SHOT_SIZES = (0, 1, B - 1, B, B + 1, 3 * B + 7)
+GROWTH_STEPS = (1, 7, B - 1, B + 1, 5000)
+
+
+@pytest.fixture(scope="module")
+def sequential_tables():
+    upto = max(3 * B + 7, sum(GROWTH_STEPS))
+    p, p2 = [1], [1]
+    sequential_partition_table(p, upto)
+    sequential_bipartition_table(p2, p, upto)
+    return p, p2
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("upto", ONE_SHOT_SIZES)
+def test_blocked_one_shot_fill_matches_sequential(impl, upto, sequential_tables):
+    p_ref, p2_ref = sequential_tables
+    p = [1]
+    impl.extend_partition_table(p, upto)
+    assert p == p_ref[: upto + 1]
+    p2 = [1]
+    impl.extend_bipartition_table(p2, p, upto)
+    assert p2 == p2_ref[: upto + 1]
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+def test_blocked_uneven_growth_matches_sequential(impl, sequential_tables):
+    p_ref, p2_ref = sequential_tables
+    p, p2 = [1], [1]
+    upto = 0
+    for step in GROWTH_STEPS:
+        upto += step
+        impl.extend_partition_table(p, upto)
+        impl.extend_bipartition_table(p2, p, upto)
+        assert p == p_ref[: upto + 1]
+        assert p2 == p2_ref[: upto + 1]
+    # p2 by the convolution route over the same grown table
+    conv = []
+    impl.extend_self_convolution(conv, p, 3 * B + 7)
+    assert conv == p2_ref[: 3 * B + 8]
+
+
 @pytest.mark.parametrize("impl", BACKENDS)
 def test_partition_table_matches_dp_oracle(impl):
     table = [1]

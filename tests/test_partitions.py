@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,12 @@ from biparts.partitions import (
     degenerate_count,
     enumerate_bipartitions,
     enumerate_partitions,
+    iter_bipartitions,
+    iter_partitions,
     partition_count,
 )
+from biparts.report import Recorder
+from biparts.verify import check_bipartition_recursion
 
 
 def oracle_partitions(n: int, cap: int | None = None) -> set[tuple[int, ...]]:
@@ -39,6 +44,16 @@ def oracle_partitions(n: int, cap: int | None = None) -> set[tuple[int, ...]]:
     return found
 
 
+def recursive_partitions(n: int, maxpart: int) -> Iterator[tuple[int, ...]]:
+    """The recursive generator the library used before ZS1; kept as the order oracle."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, maxpart), 0, -1):
+        for rest in recursive_partitions(n - first, first):
+            yield (first,) + rest
+
+
 partition_strategy = st.lists(st.integers(1, 12), max_size=8).map(
     lambda parts: Partition(sorted(parts, reverse=True))
 )
@@ -52,6 +67,14 @@ class TestPartitionType:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             Partition([3, 0])
+
+    def test_rejects_float_part(self):
+        with pytest.raises(ValueError, match="integers"):
+            Partition([2.5, 1])
+
+    def test_rejects_bool_part(self):
+        with pytest.raises(ValueError, match="integers"):
+            Partition([True])
 
     def test_weight_and_len(self):
         p = Partition([3, 1])
@@ -125,11 +148,59 @@ class TestEnumeration:
         }
         assert seen == expected
 
+    @pytest.mark.parametrize("n", range(-1, 21))
+    def test_order_matches_recursive_generator(self, n):
+        expected = list(recursive_partitions(n, n)) if n >= 0 else []
+        assert [p.parts for p in iter_partitions(n)] == expected
+
+    @pytest.mark.parametrize("n", range(-1, 11))
+    def test_bipartition_order_matches_nested_loops(self, n):
+        expected = [
+            (top, bottom)
+            for a in range(n, -1, -1)
+            for top in recursive_partitions(a, a)
+            for bottom in recursive_partitions(n - a, n - a)
+        ]
+        got = [(b.top.parts, b.bottom.parts) for b in iter_bipartitions(n)]
+        assert got == expected
+
+    def test_enumerated_partitions_round_trip_constructor(self):
+        for n in range(16):
+            for p in iter_partitions(n):
+                assert type(p) is Partition
+                assert Partition(p.parts) == p
+                assert Partition.parse(str(p)) == p
+
+    def test_bipartitions_are_lazy(self):
+        # the first item must not wait for the rows of any other top weight
+        assert str(next(iter(iter_bipartitions(90)))) == "90|-"
+
     def test_cap_refusal(self):
         with pytest.raises(EnumerationCapError):
             enumerate_partitions(30, cap=10)
         with pytest.raises(EnumerationCapError):
             enumerate_bipartitions(30, cap=10)
+
+
+class TestThm1Enumeration:
+    def test_refuses_before_enumerating(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated despite the cap")
+
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 100)
+        monkeypatch.setattr(partitions, "iter_bipartitions", forbidden)
+        monkeypatch.setattr(partitions, "enumerate_bipartitions", forbidden)
+        with pytest.raises(EnumerationCapError):
+            check_bipartition_recursion(30, Recorder())
+
+    def test_leaves_keep_ids_and_bounds(self):
+        report = check_bipartition_recursion(40, Recorder(), enum_bound=12)
+        assert report.passed
+        assert [(c.name, c.bound) for c in report.children] == [
+            ("thm1.convolution", 40),
+            ("thm1.enumeration", 12),
+            ("thm1.degenerate", 12),
+        ]
 
 
 class TestCounting:

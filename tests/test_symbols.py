@@ -73,6 +73,14 @@ class TestSymbolBasics:
         with pytest.raises(ValueError):
             Symbol((-1,), ())
 
+    def test_rejects_bool_entry(self):
+        with pytest.raises(ValueError, match="integers"):
+            Symbol((True,), ())
+
+    def test_rejects_float_entry(self):
+        with pytest.raises(ValueError, match="integers"):
+            Symbol((2.5,), ())
+
     @pytest.mark.parametrize(
         "text, rank, defect",
         [("3,1;2,0", 4, 0), ("3,2,1,0;-", 4, 4), ("-;-", 0, 0), ("4,0;-", 4, 2)],
