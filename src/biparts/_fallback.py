@@ -1,14 +1,20 @@
 """Pure-Python implementations of the hot counting/series kernels.
 
-Every function here has a compiled twin in ``biparts._speedups``; the two
-must produce bit-identical results.  All coefficients are exact Python
-integers, so the compiled version only removes interpreter overhead.
+Every function here has a compiled twin in ``biparts._speedups``.  The two
+share results, not algorithms: they must return bit-identical exact
+integers, but the twin runs the schoolbook loops in C, while this module
+moves the work out of the interpreter.  The tables add far offsets as
+whole slices, the series product is one big-integer multiply (Kronecker
+substitution), the inverse is a Newton iteration over that product, and a
+binomial fold is a single slice assignment.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from math import isqrt
-from operator import add, sub
+from operator import add, lt, neg, sub
 
 
 #: Block length of the blocked recurrences.  An offset of at least BLOCK
@@ -114,37 +120,79 @@ def extend_self_convolution(out: list, src: list, upto: int) -> None:
         m += 1
 
 
+def _pack(coeffs: list, width: int) -> int:
+    """sum coeffs[i] * X^i with X = 2^(8 width); needs |coeffs[i]| < X/2."""
+    bias = 1 << (8 * width - 1)
+    slots = map(int.to_bytes, map(add, coeffs, repeat(bias)), repeat(width), repeat("little"))
+    packed = int.from_bytes(b"".join(slots), "little")
+    # every slot carries the bias; X^0 + ... + X^(n-1) times it undoes that
+    ones = int.from_bytes((b"\x01" + bytes(width - 1)) * len(coeffs), "little")
+    return packed - ones * bias
+
+
+_SIGNED_SLOT = partial(int.from_bytes, byteorder="little", signed=True)
+
+
+def _unpack(value: int, width: int, count: int) -> list:
+    """The first ``count`` balanced base-X digits of ``value``, X = 2^(8 width).
+
+    Read as a signed number, slot k holds digit k less a borrow of 1, taken
+    by slot k - 1 exactly when slot k - 1 reads negative; so each digit is
+    its slot plus 1 when the slot below reads negative.  Requires every
+    digit to lie strictly inside (-X/2, X/2).
+    """
+    size = width * count
+    raw = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    bounds = map(slice, range(0, size, width), range(width, size + width, width))
+    slots = list(map(_SIGNED_SLOT, map(raw.__getitem__, bounds)))
+    return list(map(add, slots, map(lt, [0] + slots[:-1], repeat(0))))
+
+
 def mul_series(a: list, b: list, order: int) -> list:
-    """Cauchy product of coefficient lists, truncated at ``order``."""
-    out = [0] * (order + 1)
-    for i in range(order + 1):
-        ai = a[i]
-        if ai:
-            for j in range(order + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+    """Cauchy product of coefficient lists, truncated at ``order``.
+
+    Kronecker substitution: both operands are packed into one integer each
+    with slots wide enough that no product coefficient overflows its slot,
+    multiplied once, and the product is unpacked.  Missing trailing
+    coefficients count as zero.
+    """
+    square = a is b
+    a = a[: order + 1]
+    b = a if square else b[: order + 1]
+    bits_a = max(map(int.bit_length, a), default=0)
+    bits_b = max(map(int.bit_length, b), default=0)
+    if not bits_a or not bits_b:
+        return [0] * (order + 1)
+    width = (bits_a + bits_b + (order + 1).bit_length() + 2 + 7) >> 3
+    packed = _pack(a, width)
+    # big-int squaring is about a third cheaper than a general product
+    product = packed * packed if square else packed * _pack(b, width)
+    return _unpack(product, width, order + 1)
 
 
 def invert_series(a: list, order: int) -> list:
-    """Multiplicative inverse of a coefficient list with constant term +-1."""
+    """Multiplicative inverse of a coefficient list with constant term +-1.
+
+    Newton iteration g <- g (2 - a g) over :func:`mul_series`: each step
+    doubles the number of correct coefficients, and since a g = 1 below the
+    old precision m only the part of a g from q^m up is multiplied back.
+    """
     c0 = a[0]
     if c0 != 1 and c0 != -1:
         raise ValueError("series inversion requires constant term +1 or -1")
-    out = [0] * (order + 1)
-    out[0] = c0
-    for m in range(1, order + 1):
-        acc = 0
-        for k in range(1, m + 1):
-            ak = a[k]
-            if ak:
-                acc += ak * out[m - k]
-        out[m] = -c0 * acc
+    out = [c0]
+    while len(out) <= order:
+        m = len(out)
+        n = min(2 * m, order + 1)
+        high = mul_series(a[:n], out, n - 1)[m:]
+        out.extend(map(neg, mul_series(out, high, n - 1 - m)))
     return out
 
 
 def fold_binomial(vec: list, j: int) -> None:
-    """Multiply a coefficient list in place by (1 - q^j)."""
-    for i in range(len(vec) - 1, j - 1, -1):
-        vec[i] -= vec[i - j]
+    """Multiply a coefficient list in place by (1 - q^j), j >= 0."""
+    if j < 0:
+        raise ValueError("fold exponent must be nonnegative")
+    # map stops at the shorter operand; the slice assignment reads the whole
+    # map before it writes, so every subtrahend is an old entry
+    vec[j:] = map(sub, vec[j:], vec)

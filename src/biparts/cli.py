@@ -132,14 +132,18 @@ def _render_records(records: list[dict], fmt: str) -> str:
 
 
 def _cmd_table(args) -> int:
+    # one fill of each table: growing them a row at a time rebuilds the
+    # recurrence offsets on every row
+    p = partitions.partition_counts_upto(args.max)
+    p2 = partitions.bipartition_counts_upto(args.max)
     records = []
     for n in range(args.max + 1):
         counts = symbols.class_counts(n)
         records.append(
             {
                 "n": n,
-                "p": partitions.partition_count(n),
-                "p2": partitions.bipartition_count(n),
+                "p": p[n],
+                "p2": p2[n],
                 "p_half": partitions.degenerate_count(n),
                 "phi_plus": counts.plus,
                 "phi_minus": counts.minus,

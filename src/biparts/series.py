@@ -8,6 +8,7 @@ throughout, so every comparison is exact.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from biparts import kernels, partitions
@@ -306,13 +307,13 @@ class BivariateSeries:
                 f"orders differ: {self.order} != {other.order}"
             )
         rows: list[dict] = [dict() for _ in range(self.order + 1)]
+        rows_b = [(j, row_b) for j, row_b in enumerate(other.rows) if row_b]
         for i, row_a in enumerate(self.rows):
             if not row_a:
                 continue
-            for j in range(self.order + 1 - i):
-                row_b = other.rows[j]
-                if not row_b:
-                    continue
+            for j, row_b in rows_b:
+                if i + j > self.order:
+                    break
                 target = rows[i + j]
                 for za, ca in row_a.items():
                     for zb, cb in row_b.items():
@@ -392,6 +393,49 @@ def compare_bivariate(
 # Identity checks.
 
 
+def _shift_add(columns: dict, step: int, k: int, size: int) -> None:
+    """Multiply z-columns in place by (1 + z^step q^k), for step = +1 or -1.
+
+    ``columns`` maps each power of z to its dense list of ``size`` q
+    coefficients.  Column z + step gains column z shifted up by k, so the
+    columns are visited in the direction of ``step`` reversed: each is read
+    as a source before it is updated as a target.  A column is created only
+    when the shifted source has a nonzero coefficient within the order.
+    """
+    if k >= size:
+        return
+    for z in sorted(columns, reverse=step > 0):
+        source = columns[z][: size - k]
+        target = columns.get(z + step)
+        if target is not None:
+            target[k:] = map(add, target[k:], source)
+        elif any(source):
+            columns[z + step] = [0] * k + source
+
+
+def triple_product_series(order: int) -> BivariateSeries:
+    """prod_{k>=1} (1 + z q^k)(1 + z^-1 q^(k-1))(1 - q^k) to the given q-order.
+
+    Each binomial factor is applied by shift-add to dense q-columns, one per
+    power of z, rather than by a generic bivariate product.  Factors whose
+    q-exponent exceeds the order are omitted.
+    """
+    size = order + 1
+    columns = {0: [1] + [0] * order}
+    for k in range(1, order + 2):
+        _shift_add(columns, 1, k, size)
+        _shift_add(columns, -1, k - 1, size)
+        if k <= order:
+            for column in columns.values():
+                kernels.fold_binomial(column, k)
+    rows: list[dict] = [dict() for _ in range(size)]
+    for z, column in columns.items():
+        for q_exp, coeff in enumerate(column):
+            if coeff:
+                rows[q_exp][z] = coeff
+    return BivariateSeries(order, rows)
+
+
 def check_jacobi_triple_product(order: int, recorder: Recorder) -> CheckReport:
     """Two-variable check of the triple product expansion.
 
@@ -409,17 +453,7 @@ def check_jacobi_triple_product(order: int, recorder: Recorder) -> CheckReport:
         terms.append((n * (n + 1) // 2, n, 1))
         n -= 1
     lhs = BivariateSeries.from_terms(order, terms)
-
-    rhs = BivariateSeries.one(order)
-    for k in range(1, order + 2):
-        if k <= order:
-            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 1, 1)])
-        if k - 1 <= order:
-            rhs = rhs * BivariateSeries.from_terms(
-                order, [(0, 0, 1), (k - 1, -1, 1)]
-            )
-        if k <= order:
-            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 0, -1)])
+    rhs = triple_product_series(order)
     return compare_bivariate(
         "jacobi",
         "triple product: theta sum equals the three-factor product",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,40 @@ def sequential_bipartition_table(table: list, ptable: list, upto: int) -> None:
             k += 1
         table.append(acc)
         n += 1
+
+
+def schoolbook_mul_series(a: list, b: list, order: int) -> list:
+    """The double loop the Kronecker product replaced."""
+    out = [0] * (order + 1)
+    for i in range(order + 1):
+        ai = a[i]
+        if ai:
+            for j in range(order + 1 - i):
+                bj = b[j]
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def schoolbook_invert_series(a: list, order: int) -> list:
+    """The coefficient recurrence the Newton inversion replaced."""
+    c0 = a[0]
+    out = [0] * (order + 1)
+    out[0] = c0
+    for m in range(1, order + 1):
+        acc = 0
+        for k in range(1, m + 1):
+            ak = a[k]
+            if ak:
+                acc += ak * out[m - k]
+        out[m] = -c0 * acc
+    return out
+
+
+def loop_fold_binomial(vec: list, j: int) -> None:
+    """The backwards loop the slice-assignment fold replaced."""
+    for i in range(len(vec) - 1, j - 1, -1):
+        vec[i] -= vec[i - j]
 
 
 B = _fallback.BLOCK
@@ -184,6 +220,71 @@ def test_fold_binomial(impl):
     impl.fold_binomial(vec, 2)
     # (1+q+q^2+q^3+q^4)(1-q^2) truncated
     assert vec == [1, 1, 0, 0, 0]
+
+
+def mixed_coefficients(seed: int, length: int, bits: int) -> list:
+    """Coefficients of both signs up to ``bits`` bits, about half of them zero."""
+    rng = random.Random(seed)
+    top = 1 << bits
+    return [rng.choice((0, rng.randrange(-top, top))) for _ in range(length)]
+
+
+P_TABLE = naive_partition_counts(300)
+MUL_CASES = {
+    "negative": (mixed_coefficients(1, 41, 6), mixed_coefficients(2, 41, 6), 40),
+    "200-bit": (mixed_coefficients(3, 31, 200), mixed_coefficients(4, 31, 200), 30),
+    "mixed widths": (mixed_coefficients(5, 26, 200), mixed_coefficients(6, 26, 1), 25),
+    "zero left": ([0] * 21, mixed_coefficients(7, 21, 9), 20),
+    "zero right": (mixed_coefficients(8, 21, 9), [0] * 21, 20),
+    "order 0": ([-3, 5], [7, 1], 0),
+    "longer operands": (mixed_coefficients(9, 50, 30), mixed_coefficients(10, 35, 30), 20),
+    "all -1": ([-1] * 64, [-1] * 64, 63),
+    "p table squared": (P_TABLE, P_TABLE, 300),
+}
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("case", MUL_CASES.values(), ids=list(MUL_CASES))
+def test_mul_series_matches_schoolbook(impl, case):
+    a, b, order = case
+    assert impl.mul_series(a, b, order) == schoolbook_mul_series(a, b, order)
+    assert impl.mul_series(b, a, order) == schoolbook_mul_series(b, a, order)
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("unit", [1, -1])
+@pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 8, 63, 64, 65, 200])
+def test_invert_series_matches_schoolbook(impl, unit, order):
+    for bits in (3, 200):
+        a = mixed_coefficients(order + bits, order + 4, bits)
+        a[0] = unit
+        assert impl.invert_series(a, order) == schoolbook_invert_series(a, order)
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+def test_invert_series_of_products(impl):
+    # 1/prod(1-q^k) is the partition series, 1/(1-q)^2 has coefficients n+1
+    euler = [1] + [0] * 150
+    for k in range(1, 151):
+        loop_fold_binomial(euler, k)
+    assert impl.invert_series(euler, 150) == naive_partition_counts(150)
+    assert impl.invert_series([1, -2, 1], 40) == list(range(1, 42))
+
+
+@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("length", [0, 1, 2, 9])
+def test_fold_binomial_matches_loop(impl, length):
+    base = mixed_coefficients(length, length, 70)
+    for j in sorted({0, 1, max(length - 1, 0), length, length + 3}):
+        vec, expected = list(base), list(base)
+        impl.fold_binomial(vec, j)
+        loop_fold_binomial(expected, j)
+        assert vec == expected, j
+
+
+def test_fold_binomial_rejects_negative_exponent():
+    with pytest.raises(ValueError):
+        _fallback.fold_binomial([1, 2, 3], -1)
 
 
 @pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")

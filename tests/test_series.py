@@ -245,6 +245,20 @@ class TestDissectionFactor:
         assert check_factor_square(Recorder()).passed
 
 
+def generic_triple_product(order: int, eta: bool = True) -> BivariateSeries:
+    """prod (1 + z q^k)(1 + z^-1 q^(k-1))(1 - q^k) by generic bivariate
+    products, one binomial factor at a time; ``eta=False`` drops (1 - q^k)."""
+    rhs = BivariateSeries.one(order)
+    for k in range(1, order + 2):
+        if k <= order:
+            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 1, 1)])
+        if k - 1 <= order:
+            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k - 1, -1, 1)])
+        if eta and k <= order:
+            rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 0, -1)])
+    return rhs
+
+
 class TestChecks:
     def test_jacobi_order_zero_rows(self):
         report = check_jacobi_triple_product(0, Recorder())
@@ -256,6 +270,10 @@ class TestChecks:
 
     def test_jacobi_passes(self):
         assert check_jacobi_triple_product(30, Recorder()).passed
+
+    @pytest.mark.parametrize("order", range(26))
+    def test_shift_add_triple_product_matches_generic_product(self, order):
+        assert series.triple_product_series(order) == generic_triple_product(order)
 
     def test_jacobi_catches_missing_factor(self):
         # rebuild the product without the (1 - q^k) factors: must mismatch
@@ -270,12 +288,7 @@ class TestChecks:
             terms.append((n * (n + 1) // 2, n, 1))
             n -= 1
         lhs = BivariateSeries.from_terms(order, terms)
-        rhs = BivariateSeries.one(order)
-        for k in range(1, order + 2):
-            if k <= order:
-                rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k, 1, 1)])
-            if k - 1 <= order:
-                rhs = rhs * BivariateSeries.from_terms(order, [(0, 0, 1), (k - 1, -1, 1)])
+        rhs = generic_triple_product(order, eta=False)
         report = series.compare_bivariate("broken", "no eta factors", lhs, rhs, Recorder())
         assert not report.passed
         assert report.mismatch is not None
@@ -333,11 +346,13 @@ class TestFaultInjection:
         assert recorder.fired == 0
 
     def test_bivariate_fault(self):
-        recorder = Recorder(Fault("jacobi.rhs", (2, 1), -2))
-        report = check_jacobi_triple_product(10, recorder)
-        assert not report.passed
-        assert report.mismatch.location == (2, 1)
-        assert report.mismatch.kind == "q,z"
+        for location, delta in (((2, 1), -2), ((3, -1), 5)):
+            recorder = Recorder(Fault("jacobi.rhs", location, delta))
+            report = check_jacobi_triple_product(10, recorder)
+            assert not report.passed
+            assert report.mismatch.location == location
+            assert report.mismatch.kind == "q,z"
+            assert recorder.fired == 1
 
     def test_value_fault_in_congruence_fires(self):
         recorder = Recorder(Fault("congruence.bipartition.lhs", (2,), 1))
