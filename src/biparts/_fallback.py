@@ -1,12 +1,9 @@
-"""Pure-Python implementations of the hot counting/series kernels.
+"""The hot counting and series kernels, in pure Python.
 
-Every function here has a compiled twin in ``biparts._speedups``.  The two
-share results, not algorithms: they must return bit-identical exact
-integers, but the twin runs the schoolbook loops in C, while this module
-moves the work out of the interpreter.  The tables add far offsets as
-whole slices, the series product is one big-integer multiply (Kronecker
-substitution), the inverse is a Newton iteration over that product, and a
-binomial fold is a single slice assignment.
+Each kernel moves its work out of the interpreter.  The tables add far
+offsets as whole slices, the series product is one big-integer multiply
+(Kronecker substitution), the inverse is a Newton iteration over that
+product, and a binomial fold is a single slice assignment.
 """
 
 from __future__ import annotations
@@ -16,6 +13,9 @@ from itertools import repeat
 from math import isqrt
 from operator import add, lt, neg, sub
 
+#: Name of the kernel implementation.  There is only this one; the constant
+#: stays because ``perfbench/run.py`` reads it for its warm-up and run header.
+BACKEND = "python"
 
 #: Block length of the blocked recurrences.  An offset of at least BLOCK
 #: reaches only entries of earlier blocks, so its terms for a whole block are

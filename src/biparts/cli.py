@@ -97,8 +97,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise argparse.ArgumentError(None, f"cannot write --out {out}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -253,7 +256,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 return _cmd_symbols_family(args, parser)
             return _cmd_symbols_counts(args)
         return _cmd_verify(args)
-    except (EnumerationCapError, FaultError) as exc:
+    except (EnumerationCapError, FaultError, argparse.ArgumentError) as exc:
         parser.error(str(exc))
 
 

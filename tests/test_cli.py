@@ -265,6 +265,26 @@ class TestVerify:
         assert "first mismatch at index 9" in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("table", "--max", "3"),
+        ("symbols", "family", "--symbol", "3,1;2,0"),
+        ("verify", "euler", "--max", "5"),
+    ],
+    ids=["table", "symbols-family", "verify"],
+)
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_unwritable_out_is_usage_error(capsys, tmp_path, command, where):
+    out = tmp_path / "no" / "such" / "x" if where == "missing-dir" else tmp_path
+    run_cli_expect_usage_error(*command, "--out", str(out))
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 2 and err[0].startswith("usage:"), err
+    assert err[1].startswith("biparts") and str(out) in err[1], err
+    assert captured.out == ""
+
+
 def test_out_of_range_fault_exits_2_without_traceback():
     proc = subprocess.run(
         [sys.executable, "-m", "biparts.cli", "verify", "firstproof", "--max", "30",

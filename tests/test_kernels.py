@@ -1,4 +1,4 @@
-"""Backend equivalence and kernel correctness against naive oracles."""
+"""Kernel correctness against naive oracles and the loops the kernels replaced."""
 
 from __future__ import annotations
 
@@ -8,15 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparts import _fallback
+from biparts import _fallback as kernels
 
-BACKENDS = [pytest.param(_fallback, id="python")]
-try:
-    from biparts import _speedups
-
-    BACKENDS.append(pytest.param(_speedups, id="c"))
-except ImportError:
-    _speedups = None
+# a single parameter, so the test ids keep their ``[python]`` suffix
+KERNELS = [pytest.param(kernels, id=kernels.BACKEND)]
 
 
 def naive_partition_counts(upto: int) -> list[int]:
@@ -115,7 +110,7 @@ def loop_fold_binomial(vec: list, j: int) -> None:
         vec[i] -= vec[i - j]
 
 
-B = _fallback.BLOCK
+B = kernels.BLOCK
 ONE_SHOT_SIZES = (0, 1, B - 1, B, B + 1, 3 * B + 7)
 GROWTH_STEPS = (1, 7, B - 1, B + 1, 5000)
 
@@ -129,7 +124,7 @@ def sequential_tables():
     return p, p2
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("upto", ONE_SHOT_SIZES)
 def test_blocked_one_shot_fill_matches_sequential(impl, upto, sequential_tables):
     p_ref, p2_ref = sequential_tables
@@ -141,7 +136,7 @@ def test_blocked_one_shot_fill_matches_sequential(impl, upto, sequential_tables)
     assert p2 == p2_ref[: upto + 1]
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_blocked_uneven_growth_matches_sequential(impl, sequential_tables):
     p_ref, p2_ref = sequential_tables
     p, p2 = [1], [1]
@@ -158,14 +153,14 @@ def test_blocked_uneven_growth_matches_sequential(impl, sequential_tables):
     assert conv == p2_ref[: 3 * B + 8]
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_partition_table_matches_dp_oracle(impl):
     table = [1]
     impl.extend_partition_table(table, 60)
     assert table == naive_partition_counts(60)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_bipartition_table_matches_convolution(impl):
     ptable = [1]
     impl.extend_partition_table(ptable, 120)
@@ -174,7 +169,7 @@ def test_bipartition_table_matches_convolution(impl):
     assert p2 == naive_convolution(ptable, ptable, 120)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_self_convolution_matches_naive(impl):
     src = [1]
     impl.extend_partition_table(src, 50)
@@ -183,7 +178,7 @@ def test_self_convolution_matches_naive(impl):
     assert out == naive_convolution(src, src, 50)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 @given(
     a=st.lists(st.integers(-9, 9), min_size=13, max_size=13),
     b=st.lists(st.integers(-9, 9), min_size=13, max_size=13),
@@ -193,7 +188,7 @@ def test_mul_series_matches_naive(impl, a, b):
     assert impl.mul_series(a, b, 12) == naive_convolution(a, b, 12)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 @given(
     a=st.lists(st.integers(-9, 9), min_size=13, max_size=13),
     unit=st.sampled_from([1, -1]),
@@ -206,7 +201,7 @@ def test_invert_series_is_inverse(impl, a, unit):
     assert product == [1] + [0] * 12
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_invert_series_rejects_nonunit(impl):
     with pytest.raises(ValueError):
         impl.invert_series([2, 1, 1], 2)
@@ -214,7 +209,7 @@ def test_invert_series_rejects_nonunit(impl):
         impl.invert_series([0, 1, 1], 2)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_fold_binomial(impl):
     vec = [1, 1, 1, 1, 1]
     impl.fold_binomial(vec, 2)
@@ -243,7 +238,7 @@ MUL_CASES = {
 }
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("case", MUL_CASES.values(), ids=list(MUL_CASES))
 def test_mul_series_matches_schoolbook(impl, case):
     a, b, order = case
@@ -251,7 +246,7 @@ def test_mul_series_matches_schoolbook(impl, case):
     assert impl.mul_series(b, a, order) == schoolbook_mul_series(b, a, order)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("unit", [1, -1])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 8, 63, 64, 65, 200])
 def test_invert_series_matches_schoolbook(impl, unit, order):
@@ -261,7 +256,7 @@ def test_invert_series_matches_schoolbook(impl, unit, order):
         assert impl.invert_series(a, order) == schoolbook_invert_series(a, order)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 def test_invert_series_of_products(impl):
     # 1/prod(1-q^k) is the partition series, 1/(1-q)^2 has coefficients n+1
     euler = [1] + [0] * 150
@@ -271,7 +266,7 @@ def test_invert_series_of_products(impl):
     assert impl.invert_series([1, -2, 1], 40) == list(range(1, 42))
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
+@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("length", [0, 1, 2, 9])
 def test_fold_binomial_matches_loop(impl, length):
     base = mixed_coefficients(length, length, 70)
@@ -284,17 +279,5 @@ def test_fold_binomial_matches_loop(impl, length):
 
 def test_fold_binomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        _fallback.fold_binomial([1, 2, 3], -1)
+        kernels.fold_binomial([1, 2, 3], -1)
 
-
-@pytest.mark.skipif(_speedups is None, reason="compiled kernels not built")
-def test_backends_agree_on_tables():
-    for upto in (0, 1, 17, 64):
-        a, b = [1], [1]
-        _fallback.extend_partition_table(a, upto)
-        _speedups.extend_partition_table(b, upto)
-        assert a == b
-        a2, b2 = [1], [1]
-        _fallback.extend_bipartition_table(a2, a, upto)
-        _speedups.extend_bipartition_table(b2, b, upto)
-        assert a2 == b2
