@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from typing import Iterator
 
-from biparts import _fallback as kernels
+from biparts import kernels
 
 #: Default refusal threshold for the enumeration helpers.  Enumerating is
 #: meant for oracle-scale inputs; predicted outputs larger than this raise

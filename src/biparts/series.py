@@ -11,7 +11,7 @@ from __future__ import annotations
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from biparts import _fallback as kernels, partitions
+from biparts import kernels, partitions
 from biparts.report import CheckReport, Mismatch, Recorder, combine, compare_values
 
 

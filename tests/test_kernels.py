@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparts import _fallback as kernels
+from biparts import kernels
 
 # a single parameter, so the test ids keep their ``[python]`` suffix
 KERNELS = [pytest.param(kernels, id=kernels.BACKEND)]
