@@ -12,7 +12,7 @@ from typing import Iterator
 
 from biparts import kernels
 
-#: Default refusal threshold for the enumeration helpers.  Enumerating is
+#: Refusal threshold of the enumeration helpers.  Enumerating is
 #: meant for oracle-scale inputs; predicted outputs larger than this raise
 #: :class:`EnumerationCapError` instead of exhausting memory.
 ENUMERATION_CAP = 10_000_000
@@ -266,19 +266,18 @@ def iter_partitions(n: int) -> Iterator[Partition]:
     return map(Partition, _partition_tuples(n))
 
 
-def enumerate_partitions(n: int, cap: int | None = None) -> list[Partition]:
+def enumerate_partitions(n: int) -> list[Partition]:
     """All partitions of n, lexicographically decreasing.
 
     Empty for negative n; the single empty partition for n = 0.  Refuses
-    with :class:`EnumerationCapError` when p(n) exceeds ``cap``.
+    with :class:`EnumerationCapError` when p(n) exceeds ``ENUMERATION_CAP``.
     """
     if n < 0:
         return []
-    limit = ENUMERATION_CAP if cap is None else cap
     expected = partition_count(n)
-    if expected > limit:
+    if expected > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{expected} partitions of {n} exceed the enumeration cap {limit}"
+            f"{expected} partitions of {n} exceed the enumeration cap {ENUMERATION_CAP}"
         )
     return list(iter_partitions(n))
 
@@ -298,18 +297,18 @@ def iter_bipartitions(n: int) -> Iterator[Bipartition]:
                 yield Bipartition(top, bottom)
 
 
-def enumerate_bipartitions(n: int, cap: int | None = None) -> list[Bipartition]:
+def enumerate_bipartitions(n: int) -> list[Bipartition]:
     """All bipartitions of n, top weight descending then row order.
 
-    Refuses with :class:`EnumerationCapError` when p2(n) exceeds ``cap``.
+    Refuses with :class:`EnumerationCapError` when p2(n) exceeds
+    ``ENUMERATION_CAP``.
     """
     if n < 0:
         return []
-    limit = ENUMERATION_CAP if cap is None else cap
     expected = bipartition_count(n)
-    if expected > limit:
+    if expected > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{expected} bipartitions of {n} exceed the enumeration cap {limit}"
+            f"{expected} bipartitions of {n} exceed the enumeration cap {ENUMERATION_CAP}"
         )
     return list(iter_bipartitions(n))
 

@@ -165,20 +165,31 @@ def compare_values(
     check_id: str,
     title: str,
     bound: int,
-    pairs: Iterable[tuple[int, int, int]],
+    pairs: Iterable[tuple],
     recorder: Recorder,
+    shape: tuple[int | None, ...] | None = None,
+    kind: str = "n",
 ) -> CheckReport:
-    """Compare (n, lhs, rhs) triples, reporting the first difference; the
-    sides are tapped as ``<check_id>.lhs|rhs`` at location (n,)."""
-    lhs_fault = recorder.tap(f"{check_id}.lhs", (bound,))
-    rhs_fault = recorder.tap(f"{check_id}.rhs", (bound,))
+    """Compare (location, lhs, rhs) triples, reporting the first difference.
+
+    A location is one integer, or a (q, z) pair when ``shape`` -- the tap
+    bounds of :meth:`Recorder.tap`, by default ``(bound,)`` -- has two
+    coordinates.  The sides are tapped as ``<check_id>.lhs|rhs``: a fault
+    fires on the triple at its location, so a location never streamed is
+    never faulted.  ``kind`` says how the mismatch renders its location.
+    """
+    shape = (bound,) if shape is None else shape
+    lhs_fault = recorder.tap(f"{check_id}.lhs", shape)
+    rhs_fault = recorder.tap(f"{check_id}.rhs", shape)
+    scalar = len(shape) == 1
     mismatch = None
-    for n, lhs, rhs in pairs:
-        if lhs_fault and lhs_fault.location == (n,):
+    for where, lhs, rhs in pairs:
+        at = (where,) if scalar else where
+        if lhs_fault and lhs_fault.location == at:
             lhs += recorder.fire(lhs_fault)
-        if rhs_fault and rhs_fault.location == (n,):
+        if rhs_fault and rhs_fault.location == at:
             rhs += recorder.fire(rhs_fault)
         if lhs != rhs:
-            mismatch = Mismatch((n,), lhs, rhs, kind="n")
+            mismatch = Mismatch(at, lhs, rhs, kind)
             break
     return recorder.leaf(check_id, bound, mismatch, title)

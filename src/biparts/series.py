@@ -12,7 +12,7 @@ from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from biparts import kernels, partitions
-from biparts.report import CheckReport, Mismatch, Recorder, combine, compare_values
+from biparts.report import CheckReport, Recorder, combine, compare_values
 
 
 class OrderMismatchError(ValueError):
@@ -45,14 +45,6 @@ class TruncatedSeries:
     @classmethod
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls(order, [])
-
-    @classmethod
-    def monomial(cls, order: int, exponent: int, coeff: int = 1) -> "TruncatedSeries":
-        if not 0 <= exponent <= order:
-            raise ValueError(f"exponent {exponent} outside 0..{order}")
-        coeffs = [0] * (order + 1)
-        coeffs[exponent] = coeff
-        return cls(order, coeffs)
 
     def _check_order(self, other: "TruncatedSeries") -> None:
         if self.order != other.order:
@@ -321,72 +313,46 @@ class BivariateSeries:
                         target[z] = target.get(z, 0) + ca * cb
         return BivariateSeries(self.order, rows)
 
-    def first_mismatch(self, other: "BivariateSeries") -> tuple | None:
-        """(q_exp, z_exp, self_coeff, other_coeff) of the first difference."""
-        for i in range(min(self.order, other.order) + 1):
-            row_a, row_b = self.rows[i], other.rows[i]
-            if row_a == row_b:
-                continue
-            for z in sorted(set(row_a) | set(row_b)):
-                ca, cb = row_a.get(z, 0), row_b.get(z, 0)
-                if ca != cb:
-                    return (i, z, ca, cb)
-        return None
-
     def __repr__(self) -> str:
         count = sum(len(row) for row in self.rows)
         return f"BivariateSeries(order={self.order}, terms={count})"
 
 
 # ---------------------------------------------------------------------------
-# Comparison helpers producing reports.  Each taps its sides as
-# ``<check-id>.lhs`` and ``<check-id>.rhs``: a recorder holding a fault for
-# that side corrupts one coefficient before the comparison.
-
-
-def _faulted(series, target: str, recorder: Recorder):
-    """``series`` with the recorder's fault added, if it targets ``target``."""
-    bivariate = isinstance(series, BivariateSeries)
-    fault = recorder.tap(target, (series.order, None) if bivariate else (series.order,))
-    if fault is None:
-        return series
-    delta = recorder.fire(fault)
-    if bivariate:
-        q_exp, z_exp = fault.location
-        rows = [dict(row) for row in series.rows]
-        rows[q_exp][z_exp] = rows[q_exp].get(z_exp, 0) + delta
-        return BivariateSeries(series.order, rows)
-    coeffs = list(series.coeffs)
-    coeffs[fault.location[0]] += delta
-    return TruncatedSeries(series.order, coeffs)
+# Comparison helpers producing reports.  Each streams its coefficients
+# through compare_values, which taps the sides as ``<check-id>.lhs`` and
+# ``<check-id>.rhs``.
 
 
 def compare_series(
     check_id: str, title: str, lhs: TruncatedSeries, rhs: TruncatedSeries, recorder: Recorder
 ) -> CheckReport:
+    """Coefficient-wise comparison, located by ``index i``."""
     if lhs.order != rhs.order:
         raise OrderMismatchError(f"orders differ: {lhs.order} != {rhs.order}")
-    lhs = _faulted(lhs, f"{check_id}.lhs", recorder)
-    rhs = _faulted(rhs, f"{check_id}.rhs", recorder)
-    mismatch = None
-    for i in range(min(lhs.order, rhs.order) + 1):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
-            mismatch = Mismatch((i,), lhs.coeffs[i], rhs.coeffs[i])
-            break
-    return recorder.leaf(check_id, lhs.order, mismatch, title)
+    pairs = zip(range(lhs.order + 1), lhs.coeffs, rhs.coeffs)
+    return compare_values(check_id, title, lhs.order, pairs, recorder, kind="index")
 
 
 def compare_bivariate(
     check_id: str, title: str, lhs: BivariateSeries, rhs: BivariateSeries, recorder: Recorder
 ) -> CheckReport:
-    lhs = _faulted(lhs, f"{check_id}.lhs", recorder)
-    rhs = _faulted(rhs, f"{check_id}.rhs", recorder)
-    found = lhs.first_mismatch(rhs)
-    mismatch = None
-    if found is not None:
-        q_exp, z_exp, a, b = found
-        mismatch = Mismatch((q_exp, z_exp), a, b, kind="q,z")
-    return recorder.leaf(check_id, lhs.order, mismatch, title)
+    """Comparison by q, then z, located by ``q^q z^z``.
+
+    Every row is compared over the same z span, from the lowest to the
+    highest power of z anywhere on either side, so a coefficient that is 0
+    on both sides is tappable as long as its z lies in that span.
+    """
+    zs = set().union(*lhs.rows, *rhs.rows)
+    span = range(min(zs, default=0), max(zs, default=-1) + 1)
+    pairs = (
+        ((q, z), row_a.get(z, 0), row_b.get(z, 0))
+        for q, (row_a, row_b) in enumerate(zip(lhs.rows, rhs.rows))
+        for z in span
+    )
+    return compare_values(
+        check_id, title, lhs.order, pairs, recorder, shape=(lhs.order, None), kind="q,z"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -642,15 +608,13 @@ def dissection_factor(order: int, powers: _LaurentPowers | None = None) -> Trunc
     return _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
 
 
-def check_factor_square(recorder: Recorder, order: int = 16) -> CheckReport:
+def check_factor_square(recorder: Recorder) -> CheckReport:
     """Square the nine-term factor with c as a formal variable and compare
-    against the recorded seventeen-term expansion."""
-    factor = BivariateSeries.from_terms(
-        order, [(q, c, k) for c, k, q in DISSECTION_FACTOR_TERMS if q <= order]
-    )
+    against the recorded seventeen-term expansion, to its top power q^16."""
+    order = 16
+    factor = BivariateSeries.from_terms(order, [(q, c, k) for c, k, q in DISSECTION_FACTOR_TERMS])
     expected = BivariateSeries.from_terms(
-        order,
-        [(q, c, k) for c, k, q in DISSECTION_FACTOR_SQUARE_TERMS if q <= order],
+        order, [(q, c, k) for c, k, q in DISSECTION_FACTOR_SQUARE_TERMS]
     )
     return compare_bivariate(
         "appendix.factor_square",

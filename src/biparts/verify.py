@@ -37,12 +37,9 @@ def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
 BIPARTITION_ENUM_BOUND = 25
 
 
-def check_bipartition_recursion(
-    bound: int, recorder: Recorder, enum_bound: int | None = None
-) -> CheckReport:
+def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Square-recurrence counts against convolution and enumeration."""
-    if enum_bound is None:
-        enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
+    enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
     if partitions.bipartition_count(enum_bound) > partitions.ENUMERATION_CAP:
         raise partitions.EnumerationCapError(
             f"p2({enum_bound}) exceeds the enumeration cap; lower the bound"
@@ -96,81 +93,32 @@ class Check:
     name: str
     run: Callable[[int, Recorder], CheckReport]
     default_bound: int
-    description: str
 
 
 CHECKS: dict[str, Check] = {
     check.name: check
     for check in [
-        Check(
-            "euler",
-            check_partition_recursion,
-            40,
-            "partition recurrence vs. enumeration",
-        ),
-        Check(
-            "thm1",
-            check_bipartition_recursion,
-            5000,
-            "bipartition recurrence vs. convolution and enumeration",
-        ),
-        Check(
-            "lemma22",
-            series.check_theta_product_chain,
-            1000,
-            "alternating theta product chain and distinct=odd",
-        ),
-        Check(
-            "jacobi",
-            series.check_jacobi_triple_product,
-            200,
-            "two-variable triple product expansion",
-        ),
-        Check(
-            "firstproof",
-            series.check_convolution_identity,
-            1000,
-            "bipartition series times theta equals even-index partition series",
-        ),
-        Check(
-            "families",
-            symbols.check_family_partition,
-            12,
-            "families of special symbols partition the classes",
-        ),
-        Check(
-            "corollary",
-            symbols.check_class_count_difference,
-            2000,
-            "signed class-count difference equals the degenerate count",
-        ),
-        Check(
-            "appendix",
-            series.check_quintic_identities,
-            500,
-            "5-dissection identities of both counting series",
-        ),
-        Check(
-            "congruence",
-            series.check_mod5_congruences,
-            10_000,
-            "mod-5 residue checks on both tables",
-        ),
+        Check("euler", check_partition_recursion, 40),
+        Check("thm1", check_bipartition_recursion, 5000),
+        Check("lemma22", series.check_theta_product_chain, 1000),
+        Check("jacobi", series.check_jacobi_triple_product, 200),
+        Check("firstproof", series.check_convolution_identity, 1000),
+        Check("families", symbols.check_family_partition, 12),
+        Check("corollary", symbols.check_class_count_difference, 2000),
+        Check("appendix", series.check_quintic_identities, 500),
+        Check("congruence", series.check_mod5_congruences, 10_000),
     ]
 }
 
 
-def run_check(
-    name: str, bound: int | None = None, recorder: Recorder | None = None
-) -> CheckReport:
-    """Run one named check at the given (or default) bound."""
+def run_check(name: str, bound: int | None, recorder: Recorder) -> CheckReport:
+    """Run one named check at the given (or, for None, default) bound."""
     check = CHECKS[name]
-    bound = check.default_bound if bound is None else bound
-    return (recorder or Recorder()).run(check.run, bound)
+    return recorder.run(check.run, check.default_bound if bound is None else bound)
 
 
-def run_all(bound: int | None = None, recorder: Recorder | None = None) -> list[CheckReport]:
-    """Run every check through ``recorder`` (by default a fresh one per check).
+def run_all(bound: int | None, recorder: Recorder) -> list[CheckReport]:
+    """Run every check through ``recorder``.
 
     With an explicit bound, each check runs at min(bound, its default) so a
     small bound gives a quick smoke pass and a huge one cannot push the

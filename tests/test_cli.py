@@ -196,6 +196,7 @@ class TestVerify:
             ("firstproof", "a:1,2,3"),
             ("firstproof", "firstproof.identity.lhs:9999"),  # past the order
             ("jacobi", "jacobi.rhs:999,0"),
+            ("jacobi", "jacobi.rhs:3,50"),  # z outside the compared span
             ("firstproof", "firstproof.identity.lhs:-1"),
             ("firstproof", "firstproof.identity.lhs:3,1"),  # wrong arity
             ("firstproof", "firstproof.identity.lhs:7:0"),  # zero delta
@@ -203,11 +204,20 @@ class TestVerify:
             ("firstproof", "lemma22.ratio.lhs:3"),  # check that did not run
             ("congruence", "congruence.bipartition.lhs:5"),  # n never compared
             ("families", "families.n3.lhs:1"),  # untappable comparison
-            ("corollary", "corollary.enumeration.rhs:2"),
         ]:
             run_cli_expect_usage_error("verify", what, "--max", "8", "--inject-fault", spec)
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and err[0].startswith("usage:"), (spec, err)
+
+    def test_fault_in_class_enumeration(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "verify", "corollary", "--max", "8",
+            "--inject-fault", "corollary.enumeration.rhs:2",
+        )
+        assert code == 1
+        assert "FAIL  corollary.enumeration (bound=8)" in out
+        assert "first mismatch at n=2" in out
 
     def test_fault_in_value_comparison(self, capsys):
         code, out = run_cli(

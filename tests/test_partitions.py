@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparts import partitions
+from biparts import partitions, verify
 from biparts.partitions import (
     Bipartition,
     CountCache,
@@ -175,11 +175,12 @@ class TestEnumeration:
         # the first item must not wait for the rows of any other top weight
         assert str(next(iter(iter_bipartitions(90)))) == "90|-"
 
-    def test_cap_refusal(self):
+    def test_cap_refusal(self, monkeypatch):
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 10)
         with pytest.raises(EnumerationCapError):
-            enumerate_partitions(30, cap=10)
+            enumerate_partitions(30)
         with pytest.raises(EnumerationCapError):
-            enumerate_bipartitions(30, cap=10)
+            enumerate_bipartitions(30)
 
 
 class TestThm1Enumeration:
@@ -193,8 +194,9 @@ class TestThm1Enumeration:
         with pytest.raises(EnumerationCapError):
             check_bipartition_recursion(30, Recorder())
 
-    def test_leaves_keep_ids_and_bounds(self):
-        report = check_bipartition_recursion(40, Recorder(), enum_bound=12)
+    def test_leaves_keep_ids_and_bounds(self, monkeypatch):
+        monkeypatch.setattr(verify, "BIPARTITION_ENUM_BOUND", 12)
+        report = check_bipartition_recursion(40, Recorder())
         assert report.passed
         assert [(c.name, c.bound) for c in report.children] == [
             ("thm1.convolution", 40),

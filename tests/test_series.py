@@ -209,8 +209,11 @@ class TestBivariate:
     def test_first_mismatch(self):
         a = BivariateSeries.from_terms(2, [(0, 0, 1), (1, 2, 5)])
         b = BivariateSeries.from_terms(2, [(0, 0, 1), (1, 2, 7)])
-        assert a.first_mismatch(b) == (1, 2, 5, 7)
-        assert a.first_mismatch(a) is None
+        report = series.compare_bivariate("ab", "a equals b", a, b, Recorder())
+        assert not report.passed
+        assert report.mismatch.location == (1, 2)
+        assert (report.mismatch.lhs, report.mismatch.rhs) == (5, 7)
+        assert series.compare_bivariate("aa", "a equals a", a, a, Recorder()).passed
 
 
 class TestRogersRamanujan:

@@ -14,6 +14,7 @@ from golden import (
     RANK4_SPECIALS,
 )
 
+from biparts import symbols
 from biparts.partitions import Bipartition, Partition, bipartition_count
 from biparts.report import Recorder
 from biparts.symbols import (
@@ -339,10 +340,31 @@ class TestClassCounts:
 
 
 class TestChecks:
-    def test_class_count_difference(self):
-        report = check_class_count_difference(200, Recorder(), enum_bound=10)
+    def test_class_count_difference(self, monkeypatch):
+        monkeypatch.setattr(symbols, "CLASS_ENUM_BOUND", 10)
+        report = check_class_count_difference(200, Recorder())
         assert report.passed
-        assert len(report.children) == 2
+        assert [(c.name, c.bound) for c in report.children] == [
+            ("corollary.recurrence", 200),
+            ("corollary.enumeration", 10),
+        ]
+
+    def test_broken_sign_symmetry_is_a_mismatch(self, monkeypatch):
+        # one class lost at defect -2 of rank 5: reported, not raised
+        original = symbols.enumerate_classes
+
+        def lossy(rank, defect):
+            classes = original(rank, defect)
+            return classes[1:] if (rank, defect) == (5, -2) else classes
+
+        monkeypatch.setattr(symbols, "enumerate_classes", lossy)
+        report = check_class_count_difference(8, Recorder())
+        assert not report.passed
+        recurrence, enumeration = report.children
+        assert recurrence.passed
+        assert not enumeration.passed
+        assert enumeration.mismatch.location == (5,)
+        assert enumeration.mismatch.lhs == enumeration.mismatch.rhs + 1
 
     def test_family_partition(self):
         report = check_family_partition(8, Recorder())
