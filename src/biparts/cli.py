@@ -7,6 +7,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from typing import Sequence
@@ -114,12 +116,11 @@ def _render_records(records: list[dict], fmt: str) -> str:
         return ""
     keys = list(records[0])
     if fmt == "csv":
-        lines = [",".join(keys)]
-        for record in records:
-            lines.append(
-                ",".join("" if record[k] is None else str(record[k]) for k in keys)
-            )
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        writer = csv.DictWriter(out, keys, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+        return out.getvalue()
     widths = {
         k: max(len(k), *(len(str(r[k])) for r in records)) for k in keys
     }

@@ -129,19 +129,13 @@ class Recorder:
         report.elapsed = time.perf_counter() - start
         return report
 
-    def leaf(self, name: str, bound: int, mismatch: Mismatch | None, note: str) -> CheckReport:
-        """The report of one comparison, made once it is done."""
-        now = time.perf_counter()
-        report = CheckReport(name, bound, mismatch is None, mismatch, now - self._lap, note=note)
-        self._lap = now
-        return report
-
     def tap(self, target: str, bounds: tuple[int | None, ...]) -> Fault | None:
         """The fault, if it corrupts the compared side ``target``.
 
         ``bounds`` holds the compared object's largest index per coordinate
-        (None: any integer); a fault outside them raises FaultError.  The
-        caller applies it through :meth:`fire`.
+        (None: any integer); a fault outside them raises FaultError.
+        :func:`compare_values` applies it and counts each application in
+        ``fired``.
         """
         fault = self.fault
         if fault is None or fault.target != target:
@@ -154,11 +148,6 @@ class Recorder:
             shape = ",".join("any" if b is None else f"0..{b}" for b in bounds)
             raise FaultError(f"fault location {where} is outside {target} ({shape})")
         return fault
-
-    def fire(self, fault: Fault) -> int:
-        """Count one application of ``fault``; returns the delta to add."""
-        self.fired += 1
-        return fault.delta
 
 
 def compare_values(
@@ -175,8 +164,10 @@ def compare_values(
     A location is one integer, or a (q, z) pair when ``shape`` -- the tap
     bounds of :meth:`Recorder.tap`, by default ``(bound,)`` -- has two
     coordinates.  The sides are tapped as ``<check_id>.lhs|rhs``: a fault
-    fires on the triple at its location, so a location never streamed is
-    never faulted.  ``kind`` says how the mismatch renders its location.
+    fires on the first triple at its location, which then differs, so a
+    location never streamed is never faulted.  ``kind`` says how the
+    mismatch renders its location.  The leaf report, noted with ``title``,
+    gets the time since the recorder's previous leaf.
     """
     shape = (bound,) if shape is None else shape
     lhs_fault = recorder.tap(f"{check_id}.lhs", shape)
@@ -186,10 +177,17 @@ def compare_values(
     for where, lhs, rhs in pairs:
         at = (where,) if scalar else where
         if lhs_fault and lhs_fault.location == at:
-            lhs += recorder.fire(lhs_fault)
+            lhs += lhs_fault.delta
+            recorder.fired += 1
         if rhs_fault and rhs_fault.location == at:
-            rhs += recorder.fire(rhs_fault)
+            rhs += rhs_fault.delta
+            recorder.fired += 1
         if lhs != rhs:
             mismatch = Mismatch(at, lhs, rhs, kind)
             break
-    return recorder.leaf(check_id, bound, mismatch, title)
+    now = time.perf_counter()
+    report = CheckReport(
+        check_id, bound, mismatch is None, mismatch, now - recorder._lap, note=title
+    )
+    recorder._lap = now
+    return report

@@ -23,7 +23,7 @@ from biparts.partitions import (
     enumerate_bipartitions,
     partition_count,
 )
-from biparts.report import CheckReport, Mismatch, Recorder, combine, compare_values
+from biparts.report import CheckReport, Recorder, combine, compare_values
 
 
 class Symbol:
@@ -386,10 +386,12 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
 def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     """Families of special symbols partition the even-defect classes.
 
-    For each rank n <= bound: families generated from the special defect-0
-    classes are pairwise disjoint, exhaust every even-defect class, place
-    each flipped subset at defect -2*defect(subset), and have sizes
-    4^degree summing to the total class count.
+    For each rank n <= bound the leaf compares, all at n: each family's size
+    with 4^degree; the sum of the family sizes with the number of
+    even-defect classes; and the number of those classes reached by a member
+    at defect -2*defect(subset) with that number again.  The last two agree
+    only if every member obeys the defect law, no class is reached twice and
+    every class is reached.
     """
     if bipartition_count(bound) > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -397,55 +399,41 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
         )
     children = []
     for n in range(bound + 1):
-        mismatch = None
-        note = ""
-        all_classes: set[SymbolClass] = set()
-        by_defect: dict[int, set[SymbolClass]] = {}
-        d = 0
+        defect_zero = enumerate_classes(n, 0)
+        classes = set(defect_zero)
+        d = 2
         while d * d // 4 <= n:
-            for signed in (d, -d) if d else (0,):
-                members = set(enumerate_classes(n, signed))
-                by_defect[signed] = members
-                all_classes |= members
+            classes.update(enumerate_classes(n, d))
+            classes.update(enumerate_classes(n, -d))
             d += 2
-        specials = [
-            SpecialSymbol(cls) for cls in by_defect.get(0, set()) if is_special(cls)
-        ]
-        seen: set[SymbolClass] = set()
-        size_total = 0
-        for special in specials:
-            family = special.family()
-            size_total += len(family)
-            if len(family) != 4**special.degree:
-                mismatch = Mismatch((n,), len(family), 4**special.degree, kind="n")
-                note = f"family of {special.symbol} has the wrong size"
-                break
-            for member in family:
-                cls = SymbolClass(member.symbol)
-                expected_defect = -2 * member.subset.defect
-                if cls.defect != expected_defect:
-                    mismatch = Mismatch((n,), cls.defect, expected_defect, kind="n")
-                    note = f"flip of {member.subset} in {special.symbol} lands at the wrong defect"
-                    break
-                if cls in seen:
-                    mismatch = Mismatch((n,), 1, 0, kind="n")
-                    note = f"class {cls} appears in two families"
-                    break
-                seen.add(cls)
-            if mismatch is not None:
-                break
-        if mismatch is None and seen != all_classes:
-            mismatch = Mismatch((n,), len(seen), len(all_classes), kind="n")
-            note = "families do not exhaust the even-defect classes"
-        if mismatch is None and size_total != len(all_classes):
-            mismatch = Mismatch((n,), size_total, len(all_classes), kind="n")
-            note = "family sizes do not sum to the class count"
+        specials = map(SpecialSymbol, filter(is_special, defect_zero))
         children.append(
-            recorder.leaf(
+            compare_values(
                 f"families.n{n}",
+                f"families partition the {len(classes)} classes of rank {n}",
                 n,
-                mismatch,
-                note or f"families partition the {len(all_classes)} classes of rank {n}",
+                _family_triples(n, specials, classes),
+                recorder,
             )
         )
     return combine("families", bound, children)
+
+
+def _family_triples(
+    n: int, specials: Iterator[SpecialSymbol], classes: set[SymbolClass]
+) -> Iterator[tuple[int, int, int]]:
+    """The compared triples of ``families.n{n}``, made one family at a time
+    so that a rank's families are never all in memory together."""
+    reached: set[SymbolClass] = set()
+    size_total = 0
+    for special in specials:
+        family = special.family()
+        size_total += len(family)
+        yield n, len(family), 4**special.degree
+        reached.update(
+            SymbolClass(member.symbol)
+            for member in family
+            if member.symbol.defect == -2 * member.subset.defect
+        )
+    yield n, size_total, len(classes)
+    yield n, len(reached & classes), len(classes)

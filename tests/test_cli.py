@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -125,6 +127,25 @@ class TestSymbolsCommands:
         assert len(records) == 16
         assert {"subset": "3;-", "symbol": "1;3,2,0", "defect": -2} in records
 
+    @pytest.mark.parametrize(
+        "argv, columns",
+        [
+            (("enumerate", "--rank", "4", "--defect", "0"), ("symbol", "bipartition")),
+            (("family", "--symbol", "3,1;2,0"), ("subset", "symbol")),
+        ],
+    )
+    def test_csv_matches_json(self, capsys, argv, columns):
+        # symbols and bipartitions contain commas, so their fields are quoted
+        _, as_json = run_cli(capsys, "symbols", *argv, "--format", "json")
+        code, as_csv = run_cli(capsys, "symbols", *argv, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(as_csv)))
+        records = json.loads(as_json)
+        assert all(None not in row for row in rows)
+        assert [[row[c] for c in columns] for row in rows] == [
+            [record[c] for c in columns] for record in records
+        ]
+
     def test_family_rejects_bad_symbols(self):
         run_cli_expect_usage_error("symbols", "family", "--symbol", "not a symbol")
         run_cli_expect_usage_error("symbols", "family", "--symbol", "3,0;2,1")
@@ -203,7 +224,8 @@ class TestVerify:
             ("firstproof", "nosuch.lhs:3"),  # never fires
             ("firstproof", "lemma22.ratio.lhs:3"),  # check that did not run
             ("congruence", "congruence.bipartition.lhs:5"),  # n never compared
-            ("families", "families.n3.lhs:1"),  # untappable comparison
+            ("families", "families.n3.lhs:1"),  # an n the leaf does not compare
+            ("families", "families.n3.lhs:5"),  # outside 0..3
         ]:
             run_cli_expect_usage_error("verify", what, "--max", "8", "--inject-fault", spec)
             err = capsys.readouterr().err.splitlines()
@@ -218,6 +240,16 @@ class TestVerify:
         assert code == 1
         assert "FAIL  corollary.enumeration (bound=8)" in out
         assert "first mismatch at n=2" in out
+
+    def test_fault_in_family_partition(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "verify", "families", "--max", "8",
+            "--inject-fault", "families.n3.lhs:3",
+        )
+        assert code == 1
+        assert "FAIL  families.n3 (bound=3)" in out
+        assert "first mismatch at n=3" in out
 
     def test_fault_in_value_comparison(self, capsys):
         code, out = run_cli(

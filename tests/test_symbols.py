@@ -339,6 +339,50 @@ class TestClassCounts:
             class_counts(3, method="guess")
 
 
+# Breakages of the symbol calculus, each confined to one rank; every one must
+# fail exactly that rank's families leaf.
+
+
+def _short_rank1_family(family):
+    def patched(self):
+        members = family(self)
+        return members[:-1] if self.symbol.rank == 1 else members
+
+    return patched
+
+
+def _first_rank5_special_missed(is_special):
+    missed = []
+
+    def patched(symbol):
+        special = is_special(symbol)
+        if special and symbol.rank == 5 and not missed:
+            missed.append(symbol)
+        return special and symbol not in missed
+
+    return patched
+
+
+def _rank4_flip_transposed(flip):
+    def patched(self, subset):
+        flipped = flip(self, subset)
+        if self.symbol.rank == 4 and subset.defect == 1:
+            return flipped.transpose()
+        return flipped
+
+    return patched
+
+
+def _rank6_family_repeats_first(family):
+    def patched(self):
+        members = family(self)
+        if self.symbol.rank == 6 and len(members) > 1:
+            members[-1] = members[0]
+        return members
+
+    return patched
+
+
 class TestChecks:
     def test_class_count_difference(self, monkeypatch):
         monkeypatch.setattr(symbols, "CLASS_ENUM_BOUND", 10)
@@ -370,3 +414,18 @@ class TestChecks:
         report = check_family_partition(8, Recorder())
         assert report.passed
         assert len(report.children) == 9
+
+    @pytest.mark.parametrize(
+        "owner, name, breakage, leaf",
+        [
+            (symbols.SpecialSymbol, "family", _short_rank1_family, "families.n1"),
+            (symbols, "is_special", _first_rank5_special_missed, "families.n5"),
+            (symbols.SpecialSymbol, "flip", _rank4_flip_transposed, "families.n4"),
+            (symbols.SpecialSymbol, "family", _rank6_family_repeats_first, "families.n6"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_broken_family_fails_its_leaf(self, monkeypatch, owner, name, breakage, leaf):
+        monkeypatch.setattr(owner, name, breakage(getattr(owner, name)))
+        report = check_family_partition(8, Recorder())
+        assert [c.name for c in report.children if not c.passed] == [leaf]
