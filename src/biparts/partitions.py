@@ -8,7 +8,7 @@ the two can be played against each other as oracles.
 from __future__ import annotations
 
 import threading
-from typing import Iterator
+from typing import Callable, Iterator
 
 from biparts import kernels
 
@@ -20,6 +20,21 @@ ENUMERATION_CAP = 10_000_000
 
 class EnumerationCapError(ValueError):
     """Raised when an enumeration would produce more items than the cap."""
+
+
+def refuse_past_cap(count: Callable[[int], int], n: int, what: str) -> None:
+    """Raise :class:`EnumerationCapError` if ``count(n)`` exceeds the cap.
+
+    ``count`` must be nondecreasing.  It is read at 0, 1, ... and the
+    refusal comes at the first value past ``ENUMERATION_CAP``, so a huge
+    ``n`` is refused without filling a table to it: at most 78 p entries or
+    42 p2 entries are read.  ``what`` names the count in the message.
+    """
+    for k in range(n + 1):
+        if count(k) > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"{what}({n}) exceeds the enumeration cap {ENUMERATION_CAP}"
+            )
 
 
 def _parse_row(text: str) -> tuple[int, ...]:
@@ -272,13 +287,7 @@ def enumerate_partitions(n: int) -> list[Partition]:
     Empty for negative n; the single empty partition for n = 0.  Refuses
     with :class:`EnumerationCapError` when p(n) exceeds ``ENUMERATION_CAP``.
     """
-    if n < 0:
-        return []
-    expected = partition_count(n)
-    if expected > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{expected} partitions of {n} exceed the enumeration cap {ENUMERATION_CAP}"
-        )
+    refuse_past_cap(partition_count, n, "p")
     return list(iter_partitions(n))
 
 
@@ -303,13 +312,7 @@ def enumerate_bipartitions(n: int) -> list[Bipartition]:
     Refuses with :class:`EnumerationCapError` when p2(n) exceeds
     ``ENUMERATION_CAP``.
     """
-    if n < 0:
-        return []
-    expected = bipartition_count(n)
-    if expected > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{expected} bipartitions of {n} exceed the enumeration cap {ENUMERATION_CAP}"
-        )
+    refuse_past_cap(bipartition_count, n, "p2")
     return list(iter_bipartitions(n))
 
 

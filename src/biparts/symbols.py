@@ -14,14 +14,13 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from biparts.partitions import (
-    ENUMERATION_CAP,
     Bipartition,
-    EnumerationCapError,
     Partition,
     _parse_row,
     bipartition_count,
     enumerate_bipartitions,
     partition_count,
+    refuse_past_cap,
 )
 from biparts.report import CheckReport, Recorder, combine, compare_values
 
@@ -104,7 +103,7 @@ class Symbol:
         return (self.top, self.bottom) < (other.top, other.bottom)
 
     def __repr__(self) -> str:
-        return f"Symbol({list(self.top)}, {list(self.bottom)})"
+        return f"{type(self).__name__}({list(self.top)}, {list(self.bottom)})"
 
     def __str__(self) -> str:
         def row(values: tuple[int, ...]) -> str:
@@ -112,48 +111,27 @@ class Symbol:
 
         return f"{row(self.top)};{row(self.bottom)}"
 
-    @classmethod
-    def parse(cls, text: str) -> "Symbol":
+    @staticmethod
+    def parse(text: str) -> "Symbol":
         """Inverse of str(): ``3,1;2,0`` with ``-`` for an empty row."""
         head, sep, tail = text.partition(";")
         if not sep:
             raise ValueError(f"malformed symbol (missing ';'): {text!r}")
-        return cls(_parse_row(head), _parse_row(tail))
+        return Symbol(_parse_row(head), _parse_row(tail))
 
 
-class SymbolClass:
-    """A similarity class, stored as its unique reduced representative."""
+class SymbolClass(Symbol):
+    """A similarity class: the unique reduced representative of ``symbol``.
 
-    __slots__ = ("symbol",)
+    It is that reduced :class:`Symbol`, so it compares and hashes equal to
+    the plain symbol with the same rows.
+    """
+
+    __slots__ = ()
 
     def __init__(self, symbol: Symbol):
-        self.symbol = symbol.reduced()
-
-    @property
-    def rank(self) -> int:
-        return self.symbol.rank
-
-    @property
-    def defect(self) -> int:
-        return self.symbol.defect
-
-    def transpose(self) -> "SymbolClass":
-        return SymbolClass(self.symbol.transpose())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolClass) and self.symbol == other.symbol
-
-    def __hash__(self) -> int:
-        return hash(self.symbol)
-
-    def __lt__(self, other: "SymbolClass") -> bool:
-        return self.symbol < other.symbol
-
-    def __repr__(self) -> str:
-        return f"SymbolClass({self.symbol!r})"
-
-    def __str__(self) -> str:
-        return str(self.symbol)
+        reduced = symbol.reduced()
+        self.top, self.bottom = reduced.top, reduced.bottom
 
 
 def _staircase_strip(row: tuple[int, ...]) -> Partition:
@@ -162,14 +140,12 @@ def _staircase_strip(row: tuple[int, ...]) -> Partition:
     return Partition([p for p in parts if p > 0])
 
 
-def to_bipartition(symbol: Symbol | SymbolClass) -> Bipartition:
+def to_bipartition(symbol: Symbol) -> Bipartition:
     """Staircase subtraction: rows minus (m-1, ..., 1, 0), zeros dropped.
 
     Constant on similarity classes; the image of a rank-n, defect-d class is
     a bipartition of n - floor((d/2)^2).
     """
-    if isinstance(symbol, SymbolClass):
-        symbol = symbol.symbol
     return Bipartition(_staircase_strip(symbol.top), _staircase_strip(symbol.bottom))
 
 
@@ -208,14 +184,12 @@ def enumerate_classes(rank: int, defect: int) -> list[SymbolClass]:
     return [from_bipartition(bp, defect) for bp in enumerate_bipartitions(weight)]
 
 
-def is_special(symbol: Symbol | SymbolClass) -> bool:
+def is_special(symbol: Symbol) -> bool:
     """Defect 0 and the interleaving a1 >= b1 >= a2 >= b2 >= ... holds.
 
     The property is shift-invariant, so testing any representative of a
     class gives the class-level answer.
     """
-    if isinstance(symbol, SymbolClass):
-        symbol = symbol.symbol
     if symbol.defect != 0:
         return False
     for a, b in zip(symbol.top, symbol.bottom):
@@ -244,9 +218,7 @@ class SpecialSymbol:
 
     __slots__ = ("symbol", "singles", "degree")
 
-    def __init__(self, symbol: Symbol | SymbolClass):
-        if isinstance(symbol, SymbolClass):
-            symbol = symbol.symbol
+    def __init__(self, symbol: Symbol):
         if not is_special(symbol):
             raise ValueError(f"symbol {symbol} is not special")
         common = set(symbol.top) & set(symbol.bottom)
@@ -281,7 +253,12 @@ class SpecialSymbol:
         return Symbol(sorted(top, reverse=True), sorted(bottom, reverse=True))
 
     def family(self) -> list[FamilyMember]:
-        """All 4^degree flips, one per subset, in subset order."""
+        """All 4^degree flips, one per subset, in subset order.
+
+        Refuses with :class:`EnumerationCapError` when 4^degree exceeds the
+        enumeration cap, i.e. from degree 12 on.
+        """
+        refuse_past_cap(lambda k: 4**k, self.degree, "4^")
         return [FamilyMember(subset, self.flip(subset)) for subset in self.subsets()]
 
     def parity_difference(self) -> int:
@@ -315,26 +292,20 @@ class ClassCounts:
     by_defect: dict[int, int]
 
 
-def class_counts(n: int, method: str = "recurrence") -> ClassCounts:
-    """Counts of rank-n classes over all even defects.
+def class_counts(n: int) -> ClassCounts:
+    """Counts of rank-n classes over all even defects, from the p2 table.
 
-    ``plus`` collects defects = 0 (mod 4), ``minus`` defects = 2 (mod 4).
-    The recurrence method reads the bipartition table once per defect pair
-    +-d; the enumeration method actually lists the classes of each signed
-    defect (small n only).
+    ``by_defect`` is keyed by the defects in the order 0, 2, -2, 4, -4, ...
+    and reads the table once per pair +-d: the classes of defect d have
+    the bipartitions of n - d^2/4 as images.  ``plus`` collects defects
+    = 0 (mod 4), ``minus`` defects = 2 (mod 4).
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    if method not in ("recurrence", "enumeration"):
-        raise ValueError(f"unknown method {method!r}")
     by_defect: dict[int, int] = {}
     d = 0
     while d * d // 4 <= n:
-        if method == "recurrence":
-            by_defect[d] = by_defect[-d] = bipartition_count(n - d * d // 4)
-        else:
-            for signed in (d, -d) if d else (0,):
-                by_defect[signed] = len(enumerate_classes(n, signed))
+        by_defect[d] = by_defect[-d] = bipartition_count(n - d * d // 4)
         d += 2
     plus = sum(c for d, c in by_defect.items() if d % 4 == 0)
     minus = sum(c for d, c in by_defect.items() if d % 4 == 2)
@@ -364,18 +335,14 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
             ),
             recorder,
         ),
-        # both methods list the defects in the same order: 0, 2, -2, 4, ...
         compare_values(
             "corollary.enumeration",
             "recurrence counts agree with explicit class enumeration",
             enum_bound,
             (
-                (n, by_table, by_enum)
+                (n, count, len(enumerate_classes(n, d)))
                 for n in range(enum_bound + 1)
-                for by_table, by_enum in zip(
-                    class_counts(n).by_defect.values(),
-                    class_counts(n, method="enumeration").by_defect.values(),
-                )
+                for d, count in class_counts(n).by_defect.items()
             ),
             recorder,
         ),
@@ -393,20 +360,12 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     only if every member obeys the defect law, no class is reached twice and
     every class is reached.
     """
-    if bipartition_count(bound) > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"p2({bound}) exceeds the enumeration cap; lower the bound"
-        )
+    refuse_past_cap(bipartition_count, bound, "p2")
     children = []
     for n in range(bound + 1):
-        defect_zero = enumerate_classes(n, 0)
-        classes = set(defect_zero)
-        d = 2
-        while d * d // 4 <= n:
-            classes.update(enumerate_classes(n, d))
-            classes.update(enumerate_classes(n, -d))
-            d += 2
-        specials = map(SpecialSymbol, filter(is_special, defect_zero))
+        by_defect = {d: enumerate_classes(n, d) for d in class_counts(n).by_defect}
+        classes = set().union(*by_defect.values())
+        specials = map(SpecialSymbol, filter(is_special, by_defect[0]))
         children.append(
             compare_values(
                 f"families.n{n}",

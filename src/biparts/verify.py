@@ -17,10 +17,7 @@ def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Pentagonal-recurrence counts against the enumeration oracle."""
     # refuse up front: the per-call cap would otherwise fire only after the
     # smaller ranks were enumerated in full
-    if partitions.partition_count(bound) > partitions.ENUMERATION_CAP:
-        raise partitions.EnumerationCapError(
-            f"p({bound}) exceeds the enumeration cap; lower the bound"
-        )
+    partitions.refuse_past_cap(partitions.partition_count, bound, "p")
     return compare_values(
         "euler",
         "recurrence equals exhaustive partition enumeration",
@@ -40,10 +37,7 @@ BIPARTITION_ENUM_BOUND = 25
 def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Square-recurrence counts against convolution and enumeration."""
     enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
-    if partitions.bipartition_count(enum_bound) > partitions.ENUMERATION_CAP:
-        raise partitions.EnumerationCapError(
-            f"p2({enum_bound}) exceeds the enumeration cap; lower the bound"
-        )
+    partitions.refuse_past_cap(partitions.bipartition_count, enum_bound, "p2")
     convolution = compare_values(
         "thm1.convolution",
         "square recurrence equals the convolution of the partition table",

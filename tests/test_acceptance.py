@@ -120,7 +120,8 @@ def test_criterion_6_signed_class_count_difference():
         counts = symbols.class_counts(n)
         assert counts.plus - counts.minus == partitions.degenerate_count(n)
     for n in range(13):
-        assert symbols.class_counts(n) == symbols.class_counts(n, method="enumeration")
+        by_defect = symbols.class_counts(n).by_defect
+        assert by_defect == {d: len(symbols.enumerate_classes(n, d)) for d in by_defect}
     announce(6, "plus-minus class difference equals p(n/2) to 2000, re-enumerated to 12")
 
 

@@ -146,6 +146,14 @@ class TestSymbolsCommands:
             [record[c] for c in columns] for record in records
         ]
 
+    def test_family_past_the_cap_is_usage_error(self, capsys):
+        # degree 13: 4^13 members, past the 10^7-item cap
+        top = ",".join(map(str, range(25, 0, -2)))
+        bottom = ",".join(map(str, range(24, -1, -2)))
+        run_cli_expect_usage_error("symbols", "family", "--symbol", f"{top};{bottom}")
+        err = capsys.readouterr().err.splitlines()
+        assert "enumeration cap" in err[-1] and "Traceback" not in err
+
     def test_family_rejects_bad_symbols(self):
         run_cli_expect_usage_error("symbols", "family", "--symbol", "not a symbol")
         run_cli_expect_usage_error("symbols", "family", "--symbol", "3,0;2,1")

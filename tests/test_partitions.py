@@ -27,7 +27,8 @@ from biparts.partitions import (
     partition_count,
 )
 from biparts.report import Recorder
-from biparts.verify import check_bipartition_recursion
+from biparts.symbols import check_family_partition, enumerate_classes
+from biparts.verify import check_bipartition_recursion, check_partition_recursion
 
 
 def oracle_partitions(n: int, cap: int | None = None) -> set[tuple[int, ...]]:
@@ -181,6 +182,24 @@ class TestEnumeration:
             enumerate_partitions(30)
         with pytest.raises(EnumerationCapError):
             enumerate_bipartitions(30)
+
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_partition_recursion(20_000, Recorder()),
+            lambda: check_family_partition(20_000, Recorder()),
+            lambda: enumerate_bipartitions(20_000),
+            lambda: enumerate_classes(20_000, 0),
+        ],
+        ids=["euler", "families", "bipartitions", "classes"],
+    )
+    def test_large_bound_refused_without_filling_tables(self, monkeypatch, call):
+        cache = CountCache()
+        monkeypatch.setattr(partitions, "_CACHE", cache)
+        with pytest.raises(EnumerationCapError):
+            call()
+        assert len(cache._p) < 100 and len(cache._p2) < 100
 
 
 class TestThm1Enumeration:

@@ -144,9 +144,21 @@ class TestBijection:
 
     def test_inverse_examples(self):
         four = Bipartition(Partition([4]), Partition())
-        assert from_bipartition(four, 0).symbol == Symbol.parse("4;0")
+        assert from_bipartition(four, 0) == Symbol.parse("4;0")
         empty = Bipartition(Partition(), Partition())
-        assert from_bipartition(empty, 4).symbol == Symbol.parse("3,2,1,0;-")
+        assert from_bipartition(empty, 4) == Symbol.parse("3,2,1,0;-")
+
+    def test_class_is_its_reduced_symbol(self):
+        s = Symbol.parse("3,1;2,0")
+        cls = SymbolClass(s.shift(3))
+        assert isinstance(cls, Symbol)
+        assert (cls.top, cls.bottom) == (s.top, s.bottom)
+        assert cls == s.reduced() and s.reduced() == cls
+        assert hash(cls) == hash(s.reduced())
+        assert len({cls, s, SymbolClass(s)}) == 1
+        assert (cls.rank, cls.defect) == (s.rank, s.defect)
+        assert repr(cls) == "SymbolClass([3, 1], [2, 0])"
+        assert SymbolClass.parse("4,2,0;3,1,0") == Symbol.parse("4,2,0;3,1,0")
 
     def test_image_is_class_invariant(self):
         s = Symbol.parse("3,1;2,0")
@@ -330,13 +342,12 @@ class TestClassCounts:
 
     def test_enumeration_mode_agrees(self):
         for n in range(7):
-            assert class_counts(n) == class_counts(n, method="enumeration")
+            by_defect = class_counts(n).by_defect
+            assert by_defect == {d: len(enumerate_classes(n, d)) for d in by_defect}
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             class_counts(-1)
-        with pytest.raises(ValueError):
-            class_counts(3, method="guess")
 
 
 # Breakages of the symbol calculus, each confined to one rank; every one must
