@@ -263,7 +263,12 @@ class SpecialSymbol:
 
     def parity_difference(self) -> int:
         """(# even-size subsets of the singles) - (# odd-size subsets),
-        by direct enumeration."""
+        by direct enumeration.
+
+        Refuses with :class:`EnumerationCapError`, as :meth:`family` does,
+        when 4^degree exceeds the enumeration cap.
+        """
+        refuse_past_cap(lambda k: 4**k, self.degree, "4^")
         total = 0
         for subset in self.subsets():
             size = len(subset.top) + len(subset.bottom)

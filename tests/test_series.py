@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparts import partitions, series
+from biparts import kernels, partitions, series
 from biparts.report import Fault, Recorder
 from biparts.series import (
     BivariateSeries,
@@ -139,6 +141,43 @@ class TestTruncatedSeries:
         assert total == a
 
 
+def loop_product_series(factors, order: int) -> TruncatedSeries:
+    """The product expansion one binomial at a time: a factor of exponent e
+    is folded |e| times over into one numerator or denominator list, and the
+    denominator is inverted at the end."""
+    numerator = [1] + [0] * order
+    denominator = [1] + [0] * order
+    for offset, step, exponent in factors:
+        if offset < 0 or step < 1 or (offset == 0 and exponent < 0):
+            raise ValueError(f"invalid product factor {(offset, step, exponent)}")
+    for offset, step, exponent in factors:
+        target = numerator if exponent > 0 else denominator
+        for _ in range(abs(exponent)):
+            for j in range(offset, order + 1, step):
+                if j == 0:
+                    return TruncatedSeries.zero(order)
+                kernels.fold_binomial(target, j)
+    inverse = kernels.invert_series(denominator, order)
+    return TruncatedSeries(order, kernels.mul_series(numerator, inverse, order))
+
+
+#: Every factor set that the identity checks expand: the five of lemma22
+#: (before its families were shared), the two of firstproof, the two
+#: appendix prefactors and the Rogers-Ramanujan quotient.
+CHECK_FACTOR_SETS = [
+    [(1, 1, 2), (2, 2, -1)],
+    [(1, 2, 2), (2, 2, 1)],
+    [(1, 2, 1), (1, 1, 1)],
+    [(2, 2, 1), (1, 1, -1)],
+    [(1, 2, -1)],
+    [(1, 1, -1)],
+    [(1, 1, -2)],
+    [(25, 25, 5), (5, 5, -6)],
+    [(25, 25, 10), (5, 5, -12)],
+    series.ROGERS_RAMANUJAN_FACTORS,
+]
+
+
 class TestProductSeries:
     def test_partition_counts(self):
         s = product_series([(1, 1, -1)], 4)
@@ -171,9 +210,49 @@ class TestProductSeries:
         )
 
     def test_exponent_stacking(self):
-        squared = product_series([(1, 1, 2)], 8)
-        by_parts = product_series([(1, 1, 1)], 8) * product_series([(1, 1, 1)], 8)
-        assert squared == by_parts
+        for exponent in (2, 3, 4, 5, -2, -3, -4, -5):
+            for order in (0, 1, 8, 150):
+                factors = [(1, 1, exponent)]
+                assert product_series(factors, order) == loop_product_series(factors, order)
+
+    @pytest.mark.parametrize("factors", CHECK_FACTOR_SETS)
+    @pytest.mark.parametrize("order", [0, 1, 37, 400])
+    def test_check_factor_sets_match_loop(self, factors, order):
+        assert product_series(factors, order) == loop_product_series(factors, order)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_factor_sets_match_loop(self, seed):
+        # a small pool of families, so that sets repeat families, mix signs
+        # and carry exponent 0 and offset-0 factors
+        rng = random.Random(seed)
+        pool = [(offset, step) for offset in range(4) for step in (1, 2, 3, 5)]
+        factors = []
+        for _ in range(rng.randint(1, 6)):
+            offset, step = rng.choice(pool)
+            exponent = rng.randint(0 if offset == 0 else -3, 3)
+            factors.append((offset, step, exponent))
+        order = rng.randint(0, 120)
+        assert product_series(factors, order) == loop_product_series(factors, order)
+
+    @pytest.mark.parametrize("exponent", [1, 2, 3, 4, -1, -2, -3, -4])
+    def test_each_family_folds_once(self, exponent):
+        with mock.patch.object(kernels, "fold_binomial", wraps=kernels.fold_binomial) as fold:
+            product_series([(1, 1, exponent)], 300)
+        assert fold.call_count == 300
+
+    def test_theta_chain_folds_each_family_once(self):
+        with mock.patch.object(
+            kernels, "fold_binomial", wraps=kernels.fold_binomial
+        ) as fold, mock.patch.object(
+            series, "product_series", wraps=series.product_series
+        ) as expand:
+            assert check_theta_product_chain(1500, Recorder()).passed
+        # prod (1-q^k), prod (1-q^2k) and prod (1-q^(2k-1)): 1500 + 750 + 750
+        assert fold.call_count == 3000
+        # prod (1-q^k) is expanded on its own, not as odd * even: that split
+        # is the identity that step1 and step2 test
+        expanded = sorted(call.args[0] for call in expand.call_args_list)
+        assert expanded == [[(1, 1, 1)], [(1, 2, 1)], [(2, 2, 1)]]
 
 
 class TestTheta:

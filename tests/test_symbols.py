@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,13 @@ from golden import (
     RANK4_SPECIALS,
 )
 
-from biparts import symbols
-from biparts.partitions import Bipartition, Partition, bipartition_count
+from biparts import partitions, symbols
+from biparts.partitions import (
+    Bipartition,
+    EnumerationCapError,
+    Partition,
+    bipartition_count,
+)
 from biparts.report import Recorder
 from biparts.symbols import (
     FamilyMember,
@@ -305,6 +312,11 @@ class TestFamilies:
         assert isinstance(member, FamilyMember)
 
 
+def interleaved_special(degree: int) -> Symbol:
+    """The special symbol 2d-1,...,3,1;2d-2,...,2,0, whose 2d entries are all singles."""
+    return Symbol(tuple(range(2 * degree - 1, 0, -2)), tuple(range(2 * degree - 2, -1, -2)))
+
+
 class TestParity:
     def test_degree_zero(self):
         assert SpecialSymbol(Symbol.parse("2;2")).parity_difference() == 1
@@ -314,6 +326,26 @@ class TestParity:
 
     def test_degree_two(self):
         assert SpecialSymbol(Symbol.parse("3,1;2,0")).parity_difference() == 0
+
+    @pytest.mark.parametrize("degree, refused", [(11, False), (12, True), (13, True)])
+    def test_enumeration_refuses_past_cap(self, degree, refused):
+        # 4^11 is under the cap, 4^12 over it; a refusal comes before any
+        # subset is listed, so the (slow) enumeration is stubbed out
+        data = SpecialSymbol(interleaved_special(degree))
+        assert data.degree == degree
+        with mock.patch.object(SpecialSymbol, "subsets", return_value=iter(())) as subsets:
+            if refused:
+                with pytest.raises(EnumerationCapError):
+                    data.parity_difference()
+            else:
+                assert data.parity_difference() == 0
+        assert subsets.called is not refused
+
+    def test_enumeration_at_lowered_cap(self, monkeypatch):
+        monkeypatch.setattr(partitions, "ENUMERATION_CAP", 4**3)
+        assert SpecialSymbol(interleaved_special(3)).parity_difference() == 0
+        with pytest.raises(EnumerationCapError):
+            SpecialSymbol(interleaved_special(4)).parity_difference()
 
     @pytest.mark.parametrize("degree", range(7))
     def test_binomial_closed_form(self, degree):
