@@ -148,9 +148,6 @@ def loop_product_series(factors, order: int) -> TruncatedSeries:
     numerator = [1] + [0] * order
     denominator = [1] + [0] * order
     for offset, step, exponent in factors:
-        if offset < 0 or step < 1 or (offset == 0 and exponent < 0):
-            raise ValueError(f"invalid product factor {(offset, step, exponent)}")
-    for offset, step, exponent in factors:
         target = numerator if exponent > 0 else denominator
         for _ in range(abs(exponent)):
             for j in range(offset, order + 1, step):
@@ -161,9 +158,9 @@ def loop_product_series(factors, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, kernels.mul_series(numerator, inverse, order))
 
 
-#: Every factor set that the identity checks expand: the five of lemma22
-#: (before its families were shared), the two of firstproof, the two
-#: appendix prefactors and the Rogers-Ramanujan quotient.
+#: Every product the identity checks compare: the five sides of lemma22 as
+#: factor sets, the two of firstproof, the two appendix prefactors and the
+#: Rogers-Ramanujan quotient.
 CHECK_FACTOR_SETS = [
     [(1, 1, 2), (2, 2, -1)],
     [(1, 2, 2), (2, 2, 1)],
