@@ -142,7 +142,8 @@ class CountCache:
 
     Entries are write-once: the tables only ever grow, and every fill is
     deterministic, so concurrent readers are safe and concurrent fillers
-    agree.  Growth is serialized by a lock.
+    agree.  Growth is serialized by a lock.  A negative index reads 0 and a
+    negative ``upto`` gives an empty prefix.
     """
 
     def __init__(self):
@@ -169,26 +170,32 @@ class CountCache:
                 kernels.extend_self_convolution(self._p2conv, self._p, n)
 
     def partition_count(self, n: int) -> int:
+        if n < 0:
+            return 0
         self._ensure_p(n)
         return self._p[n]
 
     def bipartition_count(self, n: int) -> int:
+        if n < 0:
+            return 0
         self._ensure_p2(n)
         return self._p2[n]
 
     def bipartition_count_convolution(self, n: int) -> int:
+        if n < 0:
+            return 0
         self._ensure_p2conv(n)
         return self._p2conv[n]
 
     def partition_prefix(self, upto: int) -> list:
         """Copy of the p table for indices 0..upto."""
         self._ensure_p(upto)
-        return self._p[: upto + 1]
+        return self._p[: max(upto + 1, 0)]
 
     def bipartition_prefix(self, upto: int) -> list:
         """Copy of the p2 table for indices 0..upto."""
         self._ensure_p2(upto)
-        return self._p2[: upto + 1]
+        return self._p2[: max(upto + 1, 0)]
 
 
 _CACHE = CountCache()
@@ -196,15 +203,11 @@ _CACHE = CountCache()
 
 def partition_count(n: int) -> int:
     """p(n), by the pentagonal-number recurrence; 0 for negative n."""
-    if n < 0:
-        return 0
     return _CACHE.partition_count(n)
 
 
 def bipartition_count(n: int) -> int:
     """p2(n), by the square recurrence p2(n) = p(n/2) + sum (-1)^(k-1) 2 p2(n-k^2)."""
-    if n < 0:
-        return 0
     return _CACHE.bipartition_count(n)
 
 
@@ -214,16 +217,12 @@ def bipartition_count_convolution(n: int) -> int:
     Independent of :func:`bipartition_count`; the two routes are compared by
     the verification harness.
     """
-    if n < 0:
-        return 0
     return _CACHE.bipartition_count_convolution(n)
 
 
 def degenerate_count(n: int) -> int:
     """Number of degenerate bipartitions of n, i.e. p(n/2); 0 for odd or negative n."""
-    if n < 0 or n & 1:
-        return 0
-    return _CACHE.partition_count(n // 2)
+    return 0 if n & 1 else _CACHE.partition_count(n // 2)
 
 
 def partition_counts_upto(n: int) -> list:

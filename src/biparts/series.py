@@ -230,11 +230,6 @@ def partition_series(order: int) -> TruncatedSeries:
     return product_series([(1, 1, -1)], order)
 
 
-def bipartition_series(order: int) -> TruncatedSeries:
-    """prod 1/(1-q^k)^2: the generating function of the bipartition counts."""
-    return product_series([(1, 1, -2)], order)
-
-
 def theta_alternating(order: int) -> TruncatedSeries:
     """sum_{n in Z} (-1)^n q^(n^2): 1 at 0, 2*(-1)^n at each square n^2."""
     coeffs = [0] * (order + 1)
@@ -480,10 +475,12 @@ def check_convolution_identity(order: int, recorder: Recorder) -> CheckReport:
     """(sum p2(n) q^n) * (sum (-1)^k q^(k^2)) = sum p(m) q^(2m).
 
     The left side comes from the product machinery, the right side from the
-    recurrence tables, so the comparison crosses two independent routes.
+    recurrence tables, so the comparison crosses two independent routes.  The
+    bipartition series is by definition the square of the partition series,
+    so it is built as that square rather than expanded a second time.
     """
-    p2_product = bipartition_series(order)
     p_product = partition_series(order)
+    p2_product = p_product * p_product
     children = [
         compare_series(
             "firstproof.p_table",
@@ -601,14 +598,13 @@ def _laurent_combination(
     return acc
 
 
-def dissection_factor(order: int, powers: _LaurentPowers | None = None) -> TruncatedSeries:
+def dissection_factor(order: int) -> TruncatedSeries:
     """The nine-term Laurent polynomial in the dilated quotient.
 
     This is the exact correction factor that multiplies
     (q^25;q^25)^5/(q^5;q^5)^6 to give the partition series.
     """
-    if powers is None:
-        powers = _LaurentPowers(rogers_ramanujan_c(order))
+    powers = _LaurentPowers(rogers_ramanujan_c(order))
     return _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
 
 
@@ -640,9 +636,10 @@ def check_fifth_dissections(order: int, recorder: Recorder) -> CheckReport:
     p_table = TruncatedSeries(order, partitions.partition_counts_upto(order))
     p2_table = TruncatedSeries(order, partitions.bipartition_counts_upto(order))
     powers = _LaurentPowers(rogers_ramanujan_c(order))
-    factor = dissection_factor(order, powers)
+    factor = _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
     prefactor5 = product_series([(25, 25, 5), (5, 5, -6)], order)
-    prefactor10 = product_series([(25, 25, 10), (5, 5, -12)], order)
+    # (q^25;q^25)^10/(q^5;q^5)^12, the bipartition prefactor, is its square
+    prefactor10 = prefactor5 * prefactor5
 
     children = [
         compare_series(

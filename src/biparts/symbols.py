@@ -263,17 +263,16 @@ class SpecialSymbol:
 
     def parity_difference(self) -> int:
         """(# even-size subsets of the singles) - (# odd-size subsets),
-        by direct enumeration.
+        by direct enumeration of the counter values of :meth:`subsets`: the
+        subset of value v has v.bit_count() entries.
 
         Refuses with :class:`EnumerationCapError`, as :meth:`family` does,
         when 4^degree exceeds the enumeration cap.
         """
         refuse_past_cap(lambda k: 4**k, self.degree, "4^")
-        total = 0
-        for subset in self.subsets():
-            size = len(subset.top) + len(subset.bottom)
-            total += 1 if size % 2 == 0 else -1
-        return total
+        count = 1 << (2 * self.degree)
+        odd = sum(v.bit_count() & 1 for v in range(count))
+        return count - 2 * odd
 
     def __repr__(self) -> str:
         return f"SpecialSymbol({self.symbol!r})"

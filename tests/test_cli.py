@@ -127,6 +127,12 @@ class TestSymbolsCommands:
         assert len(records) == 16
         assert {"subset": "3;-", "symbol": "1;3,2,0", "defect": -2} in records
 
+    def test_family_of_the_empty_symbol(self, capsys):
+        # "-;-" starts with "-", so argparse needs it joined to its option
+        code, out = run_cli(capsys, "symbols", "family", "--symbol=-;-", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [{"subset": "-;-", "symbol": "-;-", "defect": 0}]
+
     @pytest.mark.parametrize(
         "argv, columns",
         [

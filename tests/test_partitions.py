@@ -310,6 +310,19 @@ class TestCountCache:
         assert cache.bipartition_count(10) == 481
         assert cache.partition_prefix(5) == [1, 1, 2, 3, 5, 7]
 
+    def test_negative_reads_are_zero_on_a_filled_cache(self):
+        # after a fill, list indexing would wrap -1 round to the last entry
+        cache = CountCache()
+        assert cache.bipartition_count_convolution(10) == 481
+        assert cache.bipartition_count(10) == 481
+        for n in (-1, -3, -11):
+            assert cache.partition_count(n) == 0
+            assert cache.bipartition_count(n) == 0
+            assert cache.bipartition_count_convolution(n) == 0
+        assert cache.partition_prefix(-1) == []
+        assert cache.partition_prefix(-3) == []
+        assert cache.bipartition_prefix(-3) == []
+
     def test_concurrent_fillers_agree(self):
         cache = CountCache()
         results = []

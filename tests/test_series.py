@@ -18,7 +18,6 @@ from biparts.series import (
     BivariateSeries,
     OrderMismatchError,
     TruncatedSeries,
-    bipartition_series,
     check_convolution_identity,
     check_factor_square,
     check_fifth_dissections,
@@ -160,7 +159,8 @@ def loop_product_series(factors, order: int) -> TruncatedSeries:
 
 #: Every product the identity checks compare: the five sides of lemma22 as
 #: factor sets, the two of firstproof, the two appendix prefactors and the
-#: Rogers-Ramanujan quotient.
+#: Rogers-Ramanujan quotient.  The second of each pair, which the checks
+#: build as the square of the first, is expanded here directly.
 CHECK_FACTOR_SETS = [
     [(1, 1, 2), (2, 2, -1)],
     [(1, 2, 2), (2, 2, 1)],
@@ -202,9 +202,8 @@ class TestProductSeries:
         assert partition_series(200).coeffs == partitions.partition_counts_upto(200)
 
     def test_bipartition_series_matches_table(self):
-        assert (
-            bipartition_series(200).coeffs == partitions.bipartition_counts_upto(200)
-        )
+        p2_product = product_series([(1, 1, -2)], 200)
+        assert p2_product.coeffs == partitions.bipartition_counts_upto(200)
 
     def test_exponent_stacking(self):
         for exponent in (2, 3, 4, 5, -2, -3, -4, -5):
@@ -250,6 +249,29 @@ class TestProductSeries:
         # is the identity that step1 and step2 test
         expanded = sorted(call.args[0] for call in expand.call_args_list)
         assert expanded == [[(1, 1, 1)], [(1, 2, 1)], [(2, 2, 1)]]
+
+    @pytest.mark.parametrize(
+        "check, order, folds, inverses",
+        [
+            # the bipartition series is the square of the partition series
+            (check_convolution_identity, 150, 150, 1),
+            (check_convolution_identity, 1500, 1500, 1),
+            # folds: the Rogers-Ramanujan quotient to 160 (four families of
+            # 32) and the ^5/^6 prefactor (32 + 160), whose square is the
+            # bipartition prefactor; inverses: the quotient's denominator, c
+            # and the prefactor's
+            (check_quintic_identities, 800, 320, 3),
+        ],
+        ids=["firstproof-150", "firstproof-1500", "appendix-800"],
+    )
+    def test_checks_square_what_they_hold(self, check, order, folds, inverses):
+        with mock.patch.object(
+            kernels, "fold_binomial", wraps=kernels.fold_binomial
+        ) as fold, mock.patch.object(
+            kernels, "invert_series", wraps=kernels.invert_series
+        ) as invert:
+            assert check(order, Recorder()).passed
+        assert (fold.call_count, invert.call_count) == (folds, inverses)
 
 
 class TestTheta:
@@ -381,11 +403,11 @@ class TestChecks:
         assert check_convolution_identity(150, Recorder()).passed
 
     def test_convolution_identity_odd_indices_vanish(self):
-        lhs = bipartition_series(31) * theta_alternating(31)
+        lhs = product_series([(1, 1, -2)], 31) * theta_alternating(31)
         assert all(lhs.coeffs[i] == 0 for i in range(1, 32, 2))
 
     def test_convolution_identity_even_coefficient(self):
-        lhs = bipartition_series(8) * theta_alternating(8)
+        lhs = product_series([(1, 1, -2)], 8) * theta_alternating(8)
         assert lhs.coeffs[4] == partitions.partition_count(2)
 
     def test_fifth_dissections_pass(self):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,19 +325,21 @@ class TestParity:
     def test_degree_two(self):
         assert SpecialSymbol(Symbol.parse("3,1;2,0")).parity_difference() == 0
 
+    def test_subset_size_is_counter_bit_count(self):
+        # parity_difference reads each subset's size off its counter value
+        sizes = [len(s.top) + len(s.bottom) for s in SpecialSymbol(interleaved_special(3)).subsets()]
+        assert sizes == [v.bit_count() for v in range(4**3)]
+
     @pytest.mark.parametrize("degree, refused", [(11, False), (12, True), (13, True)])
     def test_enumeration_refuses_past_cap(self, degree, refused):
-        # 4^11 is under the cap, 4^12 over it; a refusal comes before any
-        # subset is listed, so the (slow) enumeration is stubbed out
+        # 4^11 is under the cap and enumerated in full, 4^12 over it
         data = SpecialSymbol(interleaved_special(degree))
         assert data.degree == degree
-        with mock.patch.object(SpecialSymbol, "subsets", return_value=iter(())) as subsets:
-            if refused:
-                with pytest.raises(EnumerationCapError):
-                    data.parity_difference()
-            else:
-                assert data.parity_difference() == 0
-        assert subsets.called is not refused
+        if refused:
+            with pytest.raises(EnumerationCapError):
+                data.parity_difference()
+        else:
+            assert data.parity_difference() == 0
 
     def test_enumeration_at_lowered_cap(self, monkeypatch):
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 4**3)
