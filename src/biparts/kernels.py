@@ -2,8 +2,9 @@
 
 Each kernel moves its work out of the interpreter.  The tables add far
 offsets as whole slices, the series product is one big-integer multiply
-(Kronecker substitution), the inverse is a Newton iteration over that
-product, and a binomial fold is a single slice assignment.
+(Kronecker substitution), the self-convolution is the truncated square
+through that product, the inverse is a Newton iteration over it, and a
+binomial fold is a single slice assignment.
 """
 
 from __future__ import annotations
@@ -100,24 +101,17 @@ def extend_bipartition_table(table: list, ptable: list, upto: int) -> None:
 def extend_self_convolution(out: list, src: list, upto: int) -> None:
     """Grow ``out`` in place with out[m] = sum_j src[j] * src[m - j].
 
-    Exploits symmetry of the Cauchy square; ``src`` must cover index upto.
+    One truncated squaring through :func:`mul_series`, of which only the
+    entries past ``len(out)`` are kept.  ``src`` must cover index upto:
+    :func:`mul_series` would count missing entries as zero.
     """
-    m = len(out)
-    while m <= upto:
-        half = m >> 1
-        acc = 0
-        if m & 1:
-            for j in range(half + 1):
-                acc += src[j] * src[m - j]
-            acc += acc
-        else:
-            for j in range(half):
-                acc += src[j] * src[m - j]
-            acc += acc
-            mid = src[half]
-            acc += mid * mid
-        out.append(acc)
-        m += 1
+    if upto < len(out):
+        return
+    if len(src) <= upto:
+        raise ValueError(
+            f"self-convolution to {upto} needs {upto + 1} source entries, got {len(src)}"
+        )
+    out.extend(mul_series(src, src, upto)[len(out) :])
 
 
 def _pack(coeffs: list, width: int) -> int:

@@ -166,8 +166,13 @@ class CountCache:
     def _ensure_p2conv(self, n: int) -> None:
         if n >= len(self._p2conv):
             with self._lock:
-                self._ensure_p(n)
-                kernels.extend_self_convolution(self._p2conv, self._p, n)
+                # each fill squares the whole table, so one-entry requests
+                # grow it by half: n requests cost O(log n) squarings
+                length = len(self._p2conv)
+                if n >= length:
+                    upto = max(n, length + length // 2)
+                    self._ensure_p(upto)
+                    kernels.extend_self_convolution(self._p2conv, self._p, upto)
 
     def partition_count(self, n: int) -> int:
         if n < 0:

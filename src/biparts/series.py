@@ -149,22 +149,6 @@ class TruncatedSeries:
             coeffs[factor * i] = self.coeffs[i]
         return TruncatedSeries(order, coeffs)
 
-    def to_text(self) -> str:
-        """One line per coefficient, ``index<TAB>value``, exact decimals."""
-        return "\n".join(f"{i}\t{a}" for i, a in enumerate(self.coeffs)) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TruncatedSeries":
-        entries = {}
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            index, value = line.split("\t")
-            entries[int(index)] = int(value)
-        if sorted(entries) != list(range(len(entries))):
-            raise ValueError("series text must cover indices 0..N exactly once")
-        return cls(len(entries) - 1, [entries[i] for i in range(len(entries))])
-
     def __repr__(self) -> str:
         terms = [
             f"{a}*q^{i}" for i, a in enumerate(self.coeffs) if a

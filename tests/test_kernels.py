@@ -173,9 +173,26 @@ def test_bipartition_table_matches_convolution(impl):
 def test_self_convolution_matches_naive(impl):
     src = [1]
     impl.extend_partition_table(src, 50)
+    reference = naive_convolution(src, src, 50)
     out = []
     impl.extend_self_convolution(out, src, 50)
-    assert out == naive_convolution(src, src, 50)
+    assert out == reference
+    # a non-empty table grown in uneven steps keeps its prefix and extends it
+    out = [1]
+    for upto in (1, 2, 9, 10, 33, 50):
+        impl.extend_self_convolution(out, src, upto)
+        assert out == reference[: upto + 1]
+    # a bound already covered leaves the table as it is
+    impl.extend_self_convolution(out, src, 20)
+    assert out == reference
+
+
+@pytest.mark.parametrize("impl", KERNELS)
+def test_self_convolution_refuses_short_source(impl):
+    out = [1, 2]
+    with pytest.raises(ValueError, match="needs 6 source entries, got 3"):
+        impl.extend_self_convolution(out, [1, 1, 2], 5)
+    assert out == [1, 2]
 
 
 @pytest.mark.parametrize("impl", KERNELS)

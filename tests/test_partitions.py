@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparts import partitions, verify
+from biparts import kernels, partitions, verify
 from biparts.partitions import (
     Bipartition,
     CountCache,
@@ -328,7 +328,12 @@ class TestCountCache:
         results = []
 
         def fill():
-            results.append([cache.bipartition_count(n) for n in range(400)])
+            results.append(
+                [
+                    (cache.bipartition_count(n), cache.bipartition_count_convolution(n))
+                    for n in range(400)
+                ]
+            )
 
         threads = [threading.Thread(target=fill) for _ in range(8)]
         for t in threads:
@@ -336,4 +341,37 @@ class TestCountCache:
         for t in threads:
             t.join()
         assert all(r == results[0] for r in results)
-        assert results[0][4] == 20
+        assert results[0][4] == (20, 20)
+        assert all(square == conv for square, conv in results[0])
+
+    def test_one_entry_requests_square_logarithmically_often(self, monkeypatch):
+        # the convolution table grows by half its length, not to the request
+        calls = []
+        extend = kernels.extend_self_convolution
+
+        def counted(out, src, upto):
+            calls.append(upto)
+            extend(out, src, upto)
+
+        monkeypatch.setattr(kernels, "extend_self_convolution", counted)
+        cache = CountCache()
+        for n in range(2001):
+            cache.bipartition_count_convolution(n)
+        assert len(calls) <= 20
+        assert cache.bipartition_count_convolution(2000) == cache.bipartition_count(2000)
+
+    def test_thm1_squares_once_at_its_bound(self, monkeypatch):
+        grown = []
+        extend = kernels.extend_self_convolution
+
+        def counted(out, src, upto):
+            before = len(out)
+            extend(out, src, upto)
+            if len(out) > before:
+                grown.append(upto)
+
+        monkeypatch.setattr(kernels, "extend_self_convolution", counted)
+        monkeypatch.setattr(partitions, "_CACHE", CountCache())
+        monkeypatch.setattr(verify, "BIPARTITION_ENUM_BOUND", 5)
+        assert verify.run_check("thm1", 3000, Recorder()).passed
+        assert grown == [3000]

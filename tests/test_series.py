@@ -108,14 +108,6 @@ class TestTruncatedSeries:
         with pytest.raises(ValueError):
             s.dilate(3, 9)  # would need coefficient 3 of the source
 
-    def test_text_round_trip(self):
-        s = TruncatedSeries(3, [1, 0, -12345678901234567890, 4])
-        assert TruncatedSeries.from_text(s.to_text()) == s
-
-    def test_from_text_rejects_gaps(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries.from_text("0\t1\n2\t5\n")
-
     @given(a=series_strategy, b=series_strategy, c=series_strategy)
     @settings(max_examples=40)
     def test_ring_laws(self, a, b, c):
