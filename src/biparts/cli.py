@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from biparts import partitions, symbols, verify
 from biparts.partitions import EnumerationCapError
@@ -97,30 +97,58 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        try:
-            with open(out, "w") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise argparse.ArgumentError(None, f"cannot write --out {out}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+#: A command's exit code and the function that writes its output.
+Outcome = tuple[int, Callable[[TextIO], object]]
 
 
-def _render_records(records: list[dict], fmt: str) -> str:
-    """Records -> text/csv table or JSON list; None renders as empty/null."""
+def _emit(write: Callable[[TextIO], object], out: str | None) -> None:
+    """Run ``write`` once on the destination: ``--out FILE``, else stdout."""
+    if not out:
+        write(sys.stdout)
+        # a reader that closed the pipe early is met here, not at exit
+        sys.stdout.flush()
+        return
+    try:
+        with open(out, "w") as handle:
+            write(handle)
+    except OSError as exc:
+        raise argparse.ArgumentError(None, f"cannot write --out {out}: {exc.strerror}")
+
+
+#: The body of one flat record's entry in ``json.dumps(records, indent=2)``
+#: is ``_encode_record(record)[1:-1]``; without ``indent`` json encodes in C.
+_encode_record = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+
+def _write_records(out: TextIO, records: Iterable[dict], fmt: str) -> None:
+    """Records -> JSON list, CSV rows or text table; None renders as null,
+    empty or ``-``.
+
+    JSON and CSV are written one record at a time, byte for byte as
+    ``json.dumps(list(records), indent=2) + "\n"`` and a one-shot
+    ``csv.DictWriter``.  The text table holds every record, because each
+    column is as wide as its widest value.
+    """
     if fmt == "json":
-        return json.dumps(records, indent=2) + "\n"
-    if not records:
-        return ""
-    keys = list(records[0])
+        empty = True
+        for record in records:
+            out.write("[\n  {\n    " if empty else "\n  },\n  {\n    ")
+            out.write(_encode_record(record)[1:-1])
+            empty = False
+        out.write("[]\n" if empty else "\n  }\n]\n")
+        return
+    records = iter(records)
+    first = next(records, None)
+    if first is None:
+        return
+    keys = list(first)
     if fmt == "csv":
-        out = io.StringIO()
         writer = csv.DictWriter(out, keys, lineterminator="\n")
         writer.writeheader()
+        writer.writerow(first)
         writer.writerows(records)
-        return out.getvalue()
+        return
+    records = [first, *records]
     widths = {
         k: max(len(k), *(len(str(r[k])) for r in records)) for k in keys
     }
@@ -132,76 +160,72 @@ def _render_records(records: list[dict], fmt: str) -> str:
                 for k in keys
             )
         )
-    return "\n".join(lines) + "\n"
+    out.write("\n".join(lines) + "\n")
 
 
-def _cmd_table(args) -> int:
+def _records(records: Iterable[dict], fmt: str) -> Outcome:
+    return 0, lambda out: _write_records(out, records, fmt)
+
+
+def _table_records(bound: int) -> Iterator[dict]:
     # one fill of each table: growing them a row at a time rebuilds the
     # recurrence offsets on every row
-    p = partitions.partition_counts_upto(args.max)
-    p2 = partitions.bipartition_counts_upto(args.max)
-    records = []
-    for n in range(args.max + 1):
+    p = partitions.partition_counts_upto(bound)
+    p2 = partitions.bipartition_counts_upto(bound)
+    for n in range(bound + 1):
         counts = symbols.class_counts(n)
-        records.append(
-            {
-                "n": n,
-                "p": p[n],
-                "p2": p2[n],
-                "p_half": partitions.degenerate_count(n),
-                "phi_plus": counts.plus,
-                "phi_minus": counts.minus,
-            }
-        )
-    _emit(_render_records(records, args.format), args.out)
-    return 0
+        yield {
+            "n": n,
+            "p": p[n],
+            "p2": p2[n],
+            "p_half": partitions.degenerate_count(n),
+            "phi_plus": counts.plus,
+            "phi_minus": counts.minus,
+        }
 
 
-def _cmd_symbols_enumerate(args) -> int:
-    classes = symbols.enumerate_classes(args.rank, args.defect)
-    records = []
-    for cls in classes:
-        special = symbols.is_special(cls)
-        records.append(
-            {
-                "symbol": str(cls),
-                "rank": cls.rank,
-                "defect": cls.defect,
-                "bipartition": str(symbols.to_bipartition(cls)),
-                "special": special,
-                "degree": symbols.SpecialSymbol(cls).degree if special else None,
-            }
-        )
-    _emit(_render_records(records, args.format), args.out)
-    return 0
+def _class_record(cls: symbols.SymbolClass) -> dict:
+    special = symbols.is_special(cls)
+    return {
+        "symbol": str(cls),
+        "rank": cls.rank,
+        "defect": cls.defect,
+        "bipartition": str(symbols.to_bipartition(cls)),
+        "special": special,
+        "degree": symbols.SpecialSymbol(cls).degree if special else None,
+    }
 
 
-def _cmd_symbols_family(args, parser) -> int:
+def _cmd_symbols_enumerate(args) -> Outcome:
+    # iter_classes refuses past the cap before anything is written
+    classes = symbols.iter_classes(args.rank, args.defect)
+    return _records(map(_class_record, classes), args.format)
+
+
+def _cmd_symbols_family(args, parser) -> Outcome:
     try:
         base = symbols.SpecialSymbol(symbols.Symbol.parse(args.symbol))
     except ValueError as exc:
         parser.error(str(exc))
-    records = [
+    members = base.iter_family()  # refuses past the cap before anything is written
+    records = (
         {
             "subset": str(member.subset),
             "symbol": str(member.symbol),
             "defect": member.symbol.defect,
         }
-        for member in base.family()
-    ]
-    _emit(_render_records(records, args.format), args.out)
-    return 0
+        for member in members
+    )
+    return _records(records, args.format)
 
 
-def _cmd_symbols_counts(args) -> int:
+def _cmd_symbols_counts(args) -> Outcome:
     counts = symbols.class_counts(args.rank)
     if args.format == "json":
         text = json.dumps({str(d): c for d, c in counts.by_defect.items()}) + "\n"
-    else:
-        records = [{"defect": d, "count": c} for d, c in counts.by_defect.items()]
-        text = _render_records(records, args.format)
-    _emit(text, args.out)
-    return 0
+        return 0, lambda out: out.write(text)
+    records = [{"defect": d, "count": c} for d, c in counts.by_defect.items()]
+    return _records(records, args.format)
 
 
 def _parse_fault(spec: str) -> Fault:
@@ -217,7 +241,7 @@ def _parse_fault(spec: str) -> Fault:
     raise FaultError(f"malformed --inject-fault spec: {spec!r}")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outcome:
     recorder = Recorder(_parse_fault(args.inject_fault) if args.inject_fault else None)
     if args.what == "all":
         reports = verify.run_all(args.max, recorder)
@@ -234,31 +258,45 @@ def _cmd_verify(args) -> int:
         # each report is rendered in full before any of it is written, so
         # concurrent producers could never interleave their lines
         text = "\n".join(report.render() for report in reports) + "\n"
-    _emit(text, args.out)
-    return 0 if all(report.passed for report in reports) else 1
+    code = 0 if all(report.passed for report in reports) else 1
+    return code, lambda out: out.write(text)
+
+
+def _run(args, parser) -> Outcome:
+    if args.command == "p":
+        count = partitions.partition_count(args.n)
+        return 0, lambda out: print(count, file=out)
+    if args.command == "p2":
+        count = partitions.bipartition_count(args.n)
+        return 0, lambda out: print(count, file=out)
+    if args.command == "table":
+        return _records(_table_records(args.max), args.format)
+    if args.command == "symbols":
+        if args.symbols_command == "enumerate":
+            return _cmd_symbols_enumerate(args)
+        if args.symbols_command == "family":
+            return _cmd_symbols_family(args, parser)
+        return _cmd_symbols_counts(args)
+    return _cmd_verify(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
-        if args.command == "p":
-            print(partitions.partition_count(args.n))
-            return 0
-        if args.command == "p2":
-            print(partitions.bipartition_count(args.n))
-            return 0
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "symbols":
-            if args.symbols_command == "enumerate":
-                return _cmd_symbols_enumerate(args)
-            if args.symbols_command == "family":
-                return _cmd_symbols_family(args, parser)
-            return _cmd_symbols_counts(args)
-        return _cmd_verify(args)
+        code, write = _run(args, parser)
+        _emit(write, getattr(args, "out", None))
     except (EnumerationCapError, FaultError, argparse.ArgumentError) as exc:
         parser.error(str(exc))
+    except BrokenPipeError:
+        # the reader closed stdout early, as ``| head`` does: the output is
+        # cut short, not wrong.  Point stdout at the null device so that the
+        # flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

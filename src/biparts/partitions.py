@@ -84,7 +84,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts) if self.parts else "-"
+        return ",".join(map(str, self.parts)) if self.parts else "-"
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

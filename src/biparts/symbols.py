@@ -19,6 +19,7 @@ from biparts.partitions import (
     _parse_row,
     bipartition_count,
     enumerate_bipartitions,
+    iter_bipartitions,
     partition_count,
     refuse_past_cap,
 )
@@ -82,7 +83,10 @@ class Symbol:
         )
 
     def reduced(self) -> "Symbol":
-        """Undo the shift while both rows end in 0."""
+        """Undo the shift while both rows end in 0; a reduced symbol is
+        returned as it is, not copied."""
+        if self.is_reduced:
+            return self
         top, bottom = self.top, self.bottom
         while top and bottom and top[-1] == 0 and bottom[-1] == 0:
             top = tuple(a - 1 for a in top[:-1])
@@ -107,7 +111,7 @@ class Symbol:
 
     def __str__(self) -> str:
         def row(values: tuple[int, ...]) -> str:
-            return ",".join(str(v) for v in values) if values else "-"
+            return ",".join(map(str, values)) if values else "-"
 
         return f"{row(self.top)};{row(self.bottom)}"
 
@@ -184,6 +188,18 @@ def enumerate_classes(rank: int, defect: int) -> list[SymbolClass]:
     return [from_bipartition(bp, defect) for bp in enumerate_bipartitions(weight)]
 
 
+def iter_classes(rank: int, defect: int) -> Iterator[SymbolClass]:
+    """The classes of :func:`enumerate_classes`, in its order, made one at a
+    time.
+
+    The cap check runs before this returns, so a refusal comes before the
+    first class; ``EnumerationCapError`` as :func:`enumerate_bipartitions`.
+    """
+    weight = rank - defect_offset(defect)
+    refuse_past_cap(bipartition_count, weight, "p2")
+    return (from_bipartition(bp, defect) for bp in iter_bipartitions(weight))
+
+
 def is_special(symbol: Symbol) -> bool:
     """Defect 0 and the interleaving a1 >= b1 >= a2 >= b2 >= ... holds.
 
@@ -252,14 +268,20 @@ class SpecialSymbol:
         bottom = (set(self.symbol.bottom) - set(subset.bottom)) | set(subset.top)
         return Symbol(sorted(top, reverse=True), sorted(bottom, reverse=True))
 
-    def family(self) -> list[FamilyMember]:
-        """All 4^degree flips, one per subset, in subset order.
+    def iter_family(self) -> Iterator[FamilyMember]:
+        """All 4^degree flips, one per subset, in subset order, made one at a
+        time.
 
         Refuses with :class:`EnumerationCapError` when 4^degree exceeds the
-        enumeration cap, i.e. from degree 12 on.
+        enumeration cap, i.e. from degree 12 on; the refusal comes before
+        this returns.
         """
         refuse_past_cap(lambda k: 4**k, self.degree, "4^")
-        return [FamilyMember(subset, self.flip(subset)) for subset in self.subsets()]
+        return (FamilyMember(subset, self.flip(subset)) for subset in self.subsets())
+
+    def family(self) -> list[FamilyMember]:
+        """The members of :meth:`iter_family` as a list."""
+        return list(self.iter_family())
 
     def parity_difference(self) -> int:
         """(# even-size subsets of the singles) - (# odd-size subsets),

@@ -5,13 +5,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from biparts import partitions, symbols
-from biparts.cli import main
+from biparts.cli import _write_records, main
 
 
 def run_cli(capsys, *argv):
@@ -24,6 +26,49 @@ def run_cli_expect_usage_error(*argv):
     with pytest.raises(SystemExit) as excinfo:
         main(list(argv))
     assert excinfo.value.code == 2
+
+
+class _Discard(io.TextIOBase):
+    """A text stream that drops whatever is written to it."""
+
+    def write(self, text):
+        return len(text)
+
+
+def traced_peak(monkeypatch, *argv) -> int:
+    """Peak traced allocation, in bytes, of ``main(argv)`` writing to a
+    stdout that keeps nothing."""
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert main(list(argv)) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+RECORDS = {
+    "none": [],
+    "one": [{"n": 0, "p": 1}],
+    "mixed": [
+        {"symbol": "3,1;2,0", "special": True, "degree": 2, "note": 'a "quote"'},
+        {"symbol": "2;2", "special": False, "degree": None, "note": "Lusztig, étale ∞"},
+        {"symbol": "-;-", "special": True, "degree": 10**40, "note": ""},
+    ],
+}
+
+
+@pytest.mark.parametrize("records", RECORDS.values(), ids=RECORDS)
+def test_streamed_records_match_one_shot_rendering(records):
+    as_json, as_csv, one_shot_csv = io.StringIO(), io.StringIO(), io.StringIO()
+    _write_records(as_json, iter(records), "json")
+    _write_records(as_csv, iter(records), "csv")
+    if records:
+        writer = csv.DictWriter(one_shot_csv, list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)
+    assert as_json.getvalue() == json.dumps(records, indent=2) + "\n"
+    assert as_csv.getvalue() == one_shot_csv.getvalue()
 
 
 class TestCounting:
@@ -159,6 +204,32 @@ class TestSymbolsCommands:
         run_cli_expect_usage_error("symbols", "family", "--symbol", f"{top};{bottom}")
         err = capsys.readouterr().err.splitlines()
         assert "enumeration cap" in err[-1] and "Traceback" not in err
+
+    def test_enumerate_past_the_cap_writes_nothing(self, capsys, tmp_path):
+        target = tmp_path / "classes.json"
+        run_cli_expect_usage_error(
+            "symbols", "enumerate", "--rank", "30000", "--defect", "0", "--out", str(target)
+        )
+        captured = capsys.readouterr()
+        assert captured.out == "" and "enumeration cap" in captured.err
+        assert not target.exists()
+
+    def test_enumerate_streams_its_records(self, monkeypatch):
+        # the 5822 classes of rank 16 take about 11 MB when every class,
+        # record and the whole output are held before writing
+        peak = traced_peak(
+            monkeypatch, "symbols", "enumerate", "--rank", "16", "--defect", "0", "--format", "json"
+        )
+        assert peak < 2_500_000
+
+    def test_family_streams_its_members(self, monkeypatch):
+        # a degree-7 family has 4^7 = 16384 members, about 20 MB held at once
+        top = ",".join(map(str, range(13, 0, -2)))
+        bottom = ",".join(map(str, range(12, -1, -2)))
+        peak = traced_peak(
+            monkeypatch, "symbols", "family", "--symbol", f"{top};{bottom}", "--format", "json"
+        )
+        assert peak < 2_500_000
 
     def test_family_rejects_bad_symbols(self):
         run_cli_expect_usage_error("symbols", "family", "--symbol", "not a symbol")
@@ -351,6 +422,25 @@ def test_out_of_range_fault_exits_2_without_traceback():
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "outside firstproof.identity.lhs" in proc.stderr
+
+
+def test_closed_stdout_pipe_keeps_the_exit_code():
+    # the reader stops after 100 bytes, as ``| head -c 100`` does, while the
+    # command still has megabytes to write; stdout is block-buffered
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "biparts.cli", "symbols", "enumerate",
+         "--rank", "22", "--defect", "2", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(100).startswith(b"[\n  {\n")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_entry_point_subprocess():

@@ -27,7 +27,7 @@ from biparts.partitions import (
     partition_count,
 )
 from biparts.report import Recorder
-from biparts.symbols import check_family_partition, enumerate_classes
+from biparts.symbols import check_family_partition, enumerate_classes, iter_classes
 from biparts.verify import check_bipartition_recursion, check_partition_recursion
 
 
@@ -191,8 +191,9 @@ class TestEnumeration:
             lambda: check_family_partition(20_000, Recorder()),
             lambda: enumerate_bipartitions(20_000),
             lambda: enumerate_classes(20_000, 0),
+            lambda: iter_classes(20_000, 0),
         ],
-        ids=["euler", "families", "bipartitions", "classes"],
+        ids=["euler", "families", "bipartitions", "classes", "iter-classes"],
     )
     def test_large_bound_refused_without_filling_tables(self, monkeypatch, call):
         cache = CountCache()

@@ -34,6 +34,7 @@ from biparts.symbols import (
     enumerate_classes,
     from_bipartition,
     is_special,
+    iter_classes,
     parity_difference_binomial,
     to_bipartition,
 )
@@ -165,6 +166,23 @@ class TestBijection:
         assert repr(cls) == "SymbolClass([3, 1], [2, 0])"
         assert SymbolClass.parse("4,2,0;3,1,0") == Symbol.parse("4,2,0;3,1,0")
 
+    def test_reduced_symbol_is_returned_as_it_is(self):
+        s = Symbol.parse("3,1;2,0")
+        assert s.reduced() is s
+        shifted = s.shift(2)
+        assert shifted.reduced() == s and shifted.reduced() is not shifted
+
+    def test_each_class_is_validated_once(self, monkeypatch):
+        # from_bipartition builds one Symbol (two rows); its class reuses it
+        checked = []
+        check_row = Symbol._check_row
+        monkeypatch.setattr(
+            Symbol, "_check_row", staticmethod(lambda row: checked.append(row) or check_row(row))
+        )
+        cls = from_bipartition(Bipartition(Partition([2, 1]), Partition([1])), 0)
+        assert str(cls) == "3,1;2,0"
+        assert checked == [(3, 1), (2, 0)]
+
     def test_image_is_class_invariant(self):
         s = Symbol.parse("3,1;2,0")
         assert to_bipartition(s.shift(3)) == to_bipartition(s)
@@ -187,6 +205,14 @@ class TestBijection:
 
     def test_empty_when_defect_too_large(self):
         assert enumerate_classes(3, 4) == []
+
+    @pytest.mark.parametrize("d", [-6, -5, -2, -1, 0, 1, 2, 3, 5, 6, 8])
+    def test_iter_classes_lists_enumerate_classes(self, d):
+        # d = 8 takes 16 from the rank, so every weight here is negative
+        for n in range(13):
+            classes = iter_classes(n, d)
+            assert not isinstance(classes, list)
+            assert list(classes) == enumerate_classes(n, d)
 
     @pytest.mark.parametrize("n", range(7))
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -304,6 +330,16 @@ class TestFamilies:
                 sorted(z.top + z.bottom),
             )
             assert entries[0] == entries[1]
+
+    def test_iter_family_lists_family(self):
+        z = SpecialSymbol(interleaved_special(3))
+        members = z.iter_family()
+        assert not isinstance(members, list)
+        assert list(members) == z.family()
+
+    def test_iter_family_refuses_before_returning(self):
+        with pytest.raises(EnumerationCapError):
+            SpecialSymbol(interleaved_special(12)).iter_family()
 
     def test_member_type(self):
         member = SpecialSymbol(Symbol.parse("2;2")).family()[0]
