@@ -168,8 +168,8 @@ def _records(records: Iterable[dict], fmt: str) -> Outcome:
 
 
 def _table_records(bound: int) -> Iterator[dict]:
-    # one fill of each table: growing them a row at a time rebuilds the
-    # recurrence offsets on every row
+    # one exact fill of each table: the rows walk n upward, and each read
+    # past a table's end would grow it by half, past the bound
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
     for n in range(bound + 1):

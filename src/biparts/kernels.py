@@ -34,11 +34,8 @@ def _extend_blocked(
     over ``minus`` (ascending positive offsets, terms with g > n omitted).
     """
     n = len(table)
-    # growth shorter than a block (the usual one-entry cache extension) runs
-    # entry by entry: slices that short cost more than they save
-    reach = BLOCK if upto + 1 - n >= BLOCK else upto + 1
-    near_plus = [g for g in plus if g < reach]
-    near_minus = [g for g in minus if g < reach]
+    near_plus = [g for g in plus if g < BLOCK]
+    near_minus = [g for g in minus if g < BLOCK]
     far = ((plus[len(near_plus) :], add), (minus[len(near_minus) :], sub))
     while n <= upto:
         end = min(n + BLOCK, upto + 1)

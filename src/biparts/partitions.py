@@ -152,27 +152,44 @@ class CountCache:
         self._p2 = [1]
         self._p2conv = [1]
 
+    def _grow(self, table: list, n: int, fill: Callable[[int], None]) -> None:
+        """Run ``fill(max(n, len + len // 2))`` unless ``table`` already reaches n.
+
+        A fill on a fresh table stops at n, and reads that walk n upward cost
+        O(log n) fills; one read past a full table fills up to half again of
+        it.  Callers compare n with the length before they take the lock; it
+        is read again under the lock, where another filler may have grown it.
+        """
+        with self._lock:
+            length = len(table)
+            if n >= length:
+                fill(max(n, length + length // 2))
+
     def _ensure_p(self, n: int) -> None:
         if n >= len(self._p):
-            with self._lock:
-                kernels.extend_partition_table(self._p, n)
+            self._grow(self._p, n, self._fill_p)
 
     def _ensure_p2(self, n: int) -> None:
         if n >= len(self._p2):
-            with self._lock:
-                self._ensure_p(n // 2)
-                kernels.extend_bipartition_table(self._p2, self._p, n)
+            self._grow(self._p2, n, self._fill_p2)
 
     def _ensure_p2conv(self, n: int) -> None:
         if n >= len(self._p2conv):
-            with self._lock:
-                # each fill squares the whole table, so one-entry requests
-                # grow it by half: n requests cost O(log n) squarings
-                length = len(self._p2conv)
-                if n >= length:
-                    upto = max(n, length + length // 2)
-                    self._ensure_p(upto)
-                    kernels.extend_self_convolution(self._p2conv, self._p, upto)
+            self._grow(self._p2conv, n, self._fill_p2conv)
+
+    # the fills look kernels.extend_* up as they run, not once up front, so
+    # a wrapper bound to those module attributes later (a tracer) sees them
+
+    def _fill_p(self, upto: int) -> None:
+        kernels.extend_partition_table(self._p, upto)
+
+    def _fill_p2(self, upto: int) -> None:
+        self._ensure_p(upto // 2)
+        kernels.extend_bipartition_table(self._p2, self._p, upto)
+
+    def _fill_p2conv(self, upto: int) -> None:
+        self._ensure_p(upto)
+        kernels.extend_self_convolution(self._p2conv, self._p, upto)
 
     def partition_count(self, n: int) -> int:
         if n < 0:

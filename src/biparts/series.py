@@ -552,44 +552,25 @@ def rogers_ramanujan_c(order: int) -> TruncatedSeries:
     return base.dilate(5, order)
 
 
-class _LaurentPowers:
-    """Cache of integer powers of a fixed unit series."""
-
-    def __init__(self, base: TruncatedSeries):
-        self.base = base
-        self._powers = {0: TruncatedSeries.one(base.order), 1: base}
-
-    def get(self, exponent: int) -> TruncatedSeries:
-        if exponent not in self._powers:
-            if exponent > 0:
-                self._powers[exponent] = self.get(exponent - 1) * self.base
-            else:
-                if -1 not in self._powers:
-                    self._powers[-1] = self.base.inverse()
-                self._powers[exponent] = self.get(exponent + 1) * self._powers[-1]
-        return self._powers[exponent]
+def _laurent_powers(base: TruncatedSeries, span: int) -> dict:
+    """c^k for |k| <= span, c = ``base``: one inverse, one product per further power."""
+    powers = {0: TruncatedSeries.one(base.order), 1: base, -1: base.inverse()}
+    for k in range(2, span + 1):
+        powers[k] = powers[k - 1] * base
+        powers[-k] = powers[1 - k] * powers[-1]
+    return powers
 
 
 def _laurent_combination(
-    terms: Iterable[tuple[int, int, int]], powers: _LaurentPowers, order: int
+    terms: Iterable[tuple[int, int, int]], powers: dict, order: int
 ) -> TruncatedSeries:
     """sum coeff * c^c_exp * q^q_exp for (c_exp, coeff, q_exp) triples."""
     acc = TruncatedSeries.zero(order)
     for c_exp, coeff, q_exp in terms:
         if q_exp > order:
             continue
-        acc = acc + (powers.get(c_exp) * coeff).shift(q_exp)
+        acc = acc + (powers[c_exp] * coeff).shift(q_exp)
     return acc
-
-
-def dissection_factor(order: int) -> TruncatedSeries:
-    """The nine-term Laurent polynomial in the dilated quotient.
-
-    This is the exact correction factor that multiplies
-    (q^25;q^25)^5/(q^5;q^5)^6 to give the partition series.
-    """
-    powers = _LaurentPowers(rogers_ramanujan_c(order))
-    return _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
 
 
 def check_factor_square(recorder: Recorder) -> CheckReport:
@@ -619,7 +600,14 @@ def check_fifth_dissections(order: int, recorder: Recorder) -> CheckReport:
     """
     p_table = TruncatedSeries(order, partitions.partition_counts_upto(order))
     p2_table = TruncatedSeries(order, partitions.bipartition_counts_upto(order))
-    powers = _LaurentPowers(rogers_ramanujan_c(order))
+    residue_terms = {
+        2: [(6, 1, 2), (1, 4, 7), (-4, 4, 12)],
+        3: [(5, 2, 3), (0, 3, 8), (-5, -2, 13)],
+        4: [(4, 4, 4), (-1, -4, 9), (-6, 1, 14)],
+    }
+    tables = (DISSECTION_FACTOR_TERMS, *residue_terms.values())
+    span = max(abs(c_exp) for terms in tables for c_exp, _, _ in terms)
+    powers = _laurent_powers(rogers_ramanujan_c(order), span)
     factor = _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
     prefactor5 = product_series([(25, 25, 5), (5, 5, -6)], order)
     # (q^25;q^25)^10/(q^5;q^5)^12, the bipartition prefactor, is its square
@@ -641,11 +629,6 @@ def check_fifth_dissections(order: int, recorder: Recorder) -> CheckReport:
             recorder,
         ),
     ]
-    residue_terms = {
-        2: [(6, 1, 2), (1, 4, 7), (-4, 4, 12)],
-        3: [(5, 2, 3), (0, 3, 8), (-5, -2, 13)],
-        4: [(4, 4, 4), (-1, -4, 9), (-6, 1, 14)],
-    }
     for residue, terms in residue_terms.items():
         rhs = 5 * (prefactor10 * _laurent_combination(terms, powers, order))
         children.append(

@@ -38,9 +38,10 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Square-recurrence counts against convolution and enumeration."""
     enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
     partitions.refuse_past_cap(partitions.bipartition_count, enum_bound, "p2")
-    # fill the convolution table to the bound in one squaring; read entry
-    # by entry, it would grow through a run of them
+    # fill both tables exactly to the bound: the reads below walk n upward,
+    # and each read past a table's end would grow it by half
     partitions.bipartition_count_convolution(bound)
+    partitions.bipartition_count(bound)
     convolution = compare_values(
         "thm1.convolution",
         "square recurrence equals the convolution of the partition table",

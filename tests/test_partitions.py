@@ -304,6 +304,27 @@ class TestDistinctOdd:
             assert count_distinct_parts(n) == count_odd_parts(n)
 
 
+#: Each CountCache table as (kernel that fills it, reader).
+GROWN_TABLES = [
+    pytest.param("extend_partition_table", "partition_count", id="p"),
+    pytest.param("extend_bipartition_table", "bipartition_count", id="p2"),
+    pytest.param("extend_self_convolution", "bipartition_count_convolution", id="p2conv"),
+]
+
+
+def record_fills(monkeypatch, name: str) -> list:
+    """Wrap ``kernels.<name>``; the list gets the table's length after each call."""
+    lengths = []
+    extend = getattr(kernels, name)
+
+    def counted(table, *args):
+        extend(table, *args)
+        lengths.append(len(table))
+
+    monkeypatch.setattr(kernels, name, counted)
+    return lengths
+
+
 class TestCountCache:
     def test_fresh_cache_is_consistent(self):
         cache = CountCache()
@@ -345,21 +366,26 @@ class TestCountCache:
         assert results[0][4] == (20, 20)
         assert all(square == conv for square, conv in results[0])
 
-    def test_one_entry_requests_square_logarithmically_often(self, monkeypatch):
-        # the convolution table grows by half its length, not to the request
-        calls = []
-        extend = kernels.extend_self_convolution
+    @pytest.mark.parametrize(("kernel", "read"), GROWN_TABLES)
+    def test_one_entry_requests_square_logarithmically_often(self, monkeypatch, kernel, read):
+        # each table grows by half its length, not to the request
+        lengths = record_fills(monkeypatch, kernel)
+        walked = getattr(CountCache(), read)
+        values = [walked(n) for n in range(2001)]
+        assert len(lengths) <= 20
+        exact = getattr(CountCache(), read)
+        exact(2000)
+        assert values == [exact(n) for n in range(2001)]
 
-        def counted(out, src, upto):
-            calls.append(upto)
-            extend(out, src, upto)
-
-        monkeypatch.setattr(kernels, "extend_self_convolution", counted)
-        cache = CountCache()
-        for n in range(2001):
-            cache.bipartition_count_convolution(n)
-        assert len(calls) <= 20
-        assert cache.bipartition_count_convolution(2000) == cache.bipartition_count(2000)
+    @pytest.mark.parametrize(("kernel", "read"), GROWN_TABLES)
+    def test_fresh_table_fills_exactly_then_grows_by_half(self, monkeypatch, kernel, read):
+        lengths = record_fills(monkeypatch, kernel)
+        read = getattr(CountCache(), read)
+        read(1000)
+        assert lengths == [1001]
+        read(1001)
+        # one read past the full table fills it to index len + len // 2
+        assert lengths == [1001, 1001 + 1001 // 2 + 1]
 
     def test_thm1_squares_once_at_its_bound(self, monkeypatch):
         grown = []

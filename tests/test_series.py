@@ -25,7 +25,6 @@ from biparts.series import (
     check_mod5_congruences,
     check_quintic_identities,
     check_theta_product_chain,
-    dissection_factor,
     partition_series,
     product_series,
     rogers_ramanujan_c,
@@ -328,12 +327,6 @@ class TestRogersRamanujan:
 
 
 class TestDissectionFactor:
-    def test_low_coefficients(self):
-        f = dissection_factor(8)
-        assert f.coeffs[0] == 1  # constant term of c^4
-        assert f.coeffs[3] == 3  # the 3 c q^3 term, c contributing only 1
-        assert f.coeffs[4] == 5  # the bare 5 q^4 term
-
     def test_factor_square_table(self):
         assert check_factor_square(Recorder()).passed
 
