@@ -15,6 +15,7 @@ from biparts.partitions import (
     enumerate_partitions,
     partition_count,
 )
+from biparts.rademacher import partition_count as partition_count_rademacher
 from biparts.series import (
     BivariateSeries,
     OrderMismatchError,
@@ -65,6 +66,7 @@ __all__ = [
     "from_bipartition",
     "is_special",
     "partition_count",
+    "partition_count_rademacher",
     "product_series",
     "rogers_ramanujan_c",
     "theta_alternating",

@@ -13,11 +13,15 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from biparts import partitions, symbols, verify
+from biparts import partitions, rademacher, symbols, verify
 from biparts.partitions import EnumerationCapError
 from biparts.report import Fault, FaultError, Recorder
 
 FORMATS = ("text", "json", "csv")
+
+#: Largest N that ``biparts p N`` accepts; p(P_LIMIT) by the Rademacher
+#: series takes about a minute on a 2-CPU host.
+P_LIMIT = 2_000_000_000
 
 
 def _nonnegative(text: str) -> int:
@@ -35,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cmd = sub.add_parser("p", help="print the partition count p(N)")
+    p_cmd = sub.add_parser("p", help="print the partition count p(N), by the Rademacher series")
     p_cmd.add_argument("n", type=int)
 
     p2_cmd = sub.add_parser("p2", help="print the bipartition count p2(N)")
@@ -79,7 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify",
         help="run one named verification (or all of them)",
         epilog="--inject-fault corrupts one compared coefficient or value, e.g. "
-        "'firstproof.identity.lhs:7', 'euler.lhs:3' or 'jacobi.lhs:3,-1:5'; it "
+        "'firstproof.identity.lhs:7', 'euler.lhs:3', 'jacobi.lhs:3,-1:5' or "
+        "'congruence.rademacher.lhs:10000' (p at the bound); it "
         "exists to prove that the harness reports failures.  A fault that is "
         "malformed, out of range or never fires is a usage error.",
     )
@@ -264,7 +269,13 @@ def _cmd_verify(args) -> Outcome:
 
 def _run(args, parser) -> Outcome:
     if args.command == "p":
-        count = partitions.partition_count(args.n)
+        if args.n > P_LIMIT:
+            raise argparse.ArgumentError(None, f"p({args.n}) exceeds the limit {P_LIMIT}")
+        # str(int) refuses past 4300 digits, p(n) for n past about 1.5e7;
+        # Decimal prints any int exactly and leaves that global limit alone
+        from decimal import Decimal
+
+        count = Decimal(rademacher.partition_count(args.n))
         return 0, lambda out: print(count, file=out)
     if args.command == "p2":
         count = partitions.bipartition_count(args.n)

@@ -12,7 +12,7 @@ from functools import reduce
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
-from biparts import kernels, partitions
+from biparts import kernels, partitions, rademacher
 from biparts.report import CheckReport, Recorder, combine, compare_values
 
 
@@ -661,29 +661,32 @@ def check_quintic_identities(order: int, recorder: Recorder) -> CheckReport:
 
 def check_mod5_congruences(bound: int, recorder: Recorder) -> CheckReport:
     """Residue check on the tables: p2(m) = 0 mod 5 whenever m = 2,3,4 mod 5,
-    and p(5n+4) = 0 mod 5."""
-    p2_pairs = (
-        (m, partitions.bipartition_count(m) % 5, 0)
-        for m in range(bound + 1)
-        if m % 5 in (2, 3, 4)
-    )
-    p_pairs = (
-        (m, partitions.partition_count(m) % 5, 0)
-        for m in range(4, bound + 1, 5)
-    )
+    and p(5n+4) = 0 mod 5; and p(bound) from the table against the
+    Rademacher series."""
+    # one exact fill of each table: the reads below walk m upward, and each
+    # read past a table's end would grow it by half, past the bound
+    p = partitions.partition_counts_upto(bound)
+    p2 = partitions.bipartition_counts_upto(bound)
     children = [
         compare_values(
             "congruence.bipartition",
             "bipartition counts vanish mod 5 at residues 2, 3, 4",
             bound,
-            p2_pairs,
+            ((m, p2[m] % 5, 0) for m in range(bound + 1) if m % 5 in (2, 3, 4)),
             recorder,
         ),
         compare_values(
             "congruence.partition",
             "partition counts vanish mod 5 at residue 4",
             bound,
-            p_pairs,
+            ((m, p[m] % 5, 0) for m in range(4, bound + 1, 5)),
+            recorder,
+        ),
+        compare_values(
+            "congruence.rademacher",
+            "partition table equals the Rademacher series at the bound",
+            bound,
+            [(bound, p[bound], rademacher.partition_count(bound))],
             recorder,
         ),
     ]

@@ -349,6 +349,10 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
     defect at a time, by full class enumeration up to ``CLASS_ENUM_BOUND``.
     """
     enum_bound = min(CLASS_ENUM_BOUND, bound)
+    # one exact fill of p2 to the bound, and with it of p to bound // 2: the
+    # reads below walk n upward, and each read past a table's end would grow
+    # it by half, past the bound
+    bipartition_count(bound)
     children = [
         compare_values(
             "corollary.recurrence",

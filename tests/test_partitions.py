@@ -402,3 +402,16 @@ class TestCountCache:
         monkeypatch.setattr(verify, "BIPARTITION_ENUM_BOUND", 5)
         assert verify.run_check("thm1", 3000, Recorder()).passed
         assert grown == [3000]
+
+    @pytest.mark.parametrize(
+        ("check", "bound", "lengths"),
+        [("congruence", 3000, ([3001], [3001])), ("corollary", 2000, ([1001], [2001]))],
+    )
+    def test_check_fills_each_table_once_at_its_bound(self, monkeypatch, check, bound, lengths):
+        # both checks read the tables upward; one read past a table's end
+        # would grow it by half, past what the check needs
+        p_fills = record_fills(monkeypatch, "extend_partition_table")
+        p2_fills = record_fills(monkeypatch, "extend_bipartition_table")
+        monkeypatch.setattr(partitions, "_CACHE", CountCache())
+        assert verify.run_check(check, bound, Recorder()).passed
+        assert (p_fills, p2_fills) == lengths
