@@ -165,18 +165,6 @@ class CountCache:
             if n >= length:
                 fill(max(n, length + length // 2))
 
-    def _ensure_p(self, n: int) -> None:
-        if n >= len(self._p):
-            self._grow(self._p, n, self._fill_p)
-
-    def _ensure_p2(self, n: int) -> None:
-        if n >= len(self._p2):
-            self._grow(self._p2, n, self._fill_p2)
-
-    def _ensure_p2conv(self, n: int) -> None:
-        if n >= len(self._p2conv):
-            self._grow(self._p2conv, n, self._fill_p2conv)
-
     # the fills look kernels.extend_* up as they run, not once up front, so
     # a wrapper bound to those module attributes later (a tracer) sees them
 
@@ -184,39 +172,36 @@ class CountCache:
         kernels.extend_partition_table(self._p, upto)
 
     def _fill_p2(self, upto: int) -> None:
-        self._ensure_p(upto // 2)
+        self.partition_count(upto // 2)
         kernels.extend_bipartition_table(self._p2, self._p, upto)
 
     def _fill_p2conv(self, upto: int) -> None:
-        self._ensure_p(upto)
+        self.partition_count(upto)
         kernels.extend_self_convolution(self._p2conv, self._p, upto)
 
     def partition_count(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self._ensure_p(n)
-        return self._p[n]
+        if n >= len(self._p):
+            self._grow(self._p, n, self._fill_p)
+        return self._p[n] if n >= 0 else 0
 
     def bipartition_count(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self._ensure_p2(n)
-        return self._p2[n]
+        if n >= len(self._p2):
+            self._grow(self._p2, n, self._fill_p2)
+        return self._p2[n] if n >= 0 else 0
 
     def bipartition_count_convolution(self, n: int) -> int:
-        if n < 0:
-            return 0
-        self._ensure_p2conv(n)
-        return self._p2conv[n]
+        if n >= len(self._p2conv):
+            self._grow(self._p2conv, n, self._fill_p2conv)
+        return self._p2conv[n] if n >= 0 else 0
 
     def partition_prefix(self, upto: int) -> list:
         """Copy of the p table for indices 0..upto."""
-        self._ensure_p(upto)
+        self.partition_count(upto)
         return self._p[: max(upto + 1, 0)]
 
     def bipartition_prefix(self, upto: int) -> list:
         """Copy of the p2 table for indices 0..upto."""
-        self._ensure_p2(upto)
+        self.bipartition_count(upto)
         return self._p2[: max(upto + 1, 0)]
 
 

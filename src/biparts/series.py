@@ -9,6 +9,7 @@ throughout, so every comparison is exact.
 from __future__ import annotations
 
 from functools import reduce
+from math import isqrt
 from operator import add, mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -18,6 +19,12 @@ from biparts.report import CheckReport, Recorder, combine, compare_values
 
 class OrderMismatchError(ValueError):
     """Arithmetic between series of different truncation orders."""
+
+
+def _require_same_order(a: int, b: int) -> None:
+    """Raise :class:`OrderMismatchError` unless the orders a and b are equal."""
+    if a != b:
+        raise OrderMismatchError(f"orders differ: {a} != {b}")
 
 
 class TruncatedSeries:
@@ -47,12 +54,6 @@ class TruncatedSeries:
     def zero(cls, order: int) -> "TruncatedSeries":
         return cls(order, [])
 
-    def _check_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} != {other.order}"
-            )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedSeries)
@@ -64,13 +65,13 @@ class TruncatedSeries:
         return hash((self.order, tuple(self.coeffs)))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
+        _require_same_order(self.order, other.order)
         return TruncatedSeries(
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check_order(other)
+        _require_same_order(self.order, other.order)
         return TruncatedSeries(
             self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
         )
@@ -78,7 +79,7 @@ class TruncatedSeries:
     def __mul__(self, other):
         if isinstance(other, int):
             return TruncatedSeries(self.order, [other * a for a in self.coeffs])
-        self._check_order(other)
+        _require_same_order(self.order, other.order)
         return TruncatedSeries(
             self.order, kernels.mul_series(self.coeffs, other.coeffs, self.order)
         )
@@ -269,10 +270,7 @@ class BivariateSeries:
         )
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        if self.order != other.order:
-            raise OrderMismatchError(
-                f"orders differ: {self.order} != {other.order}"
-            )
+        _require_same_order(self.order, other.order)
         rows: list[dict] = [dict() for _ in range(self.order + 1)]
         rows_b = [(j, row_b) for j, row_b in enumerate(other.rows) if row_b]
         for i, row_a in enumerate(self.rows):
@@ -303,8 +301,7 @@ def compare_series(
     check_id: str, title: str, lhs: TruncatedSeries, rhs: TruncatedSeries, recorder: Recorder
 ) -> CheckReport:
     """Coefficient-wise comparison, located by ``index i``."""
-    if lhs.order != rhs.order:
-        raise OrderMismatchError(f"orders differ: {lhs.order} != {rhs.order}")
+    _require_same_order(lhs.order, rhs.order)
     pairs = zip(range(lhs.order + 1), lhs.coeffs, rhs.coeffs)
     return compare_values(check_id, title, lhs.order, pairs, recorder, kind="index")
 
@@ -318,6 +315,7 @@ def compare_bivariate(
     highest power of z anywhere on either side, so a coefficient that is 0
     on both sides is tappable as long as its z lies in that span.
     """
+    _require_same_order(lhs.order, rhs.order)
     zs = set().union(*lhs.rows, *rhs.rows)
     span = range(min(zs, default=0), max(zs, default=-1) + 1)
     pairs = (
@@ -384,15 +382,10 @@ def check_jacobi_triple_product(order: int, recorder: Recorder) -> CheckReport:
     prod_{k>=1} (1 + z q^k)(1 + z^-1 q^(k-1))(1 - q^k), both truncated at the
     given q-order.  Factors whose q-exponent exceeds the order are omitted.
     """
-    terms = []
-    n = 0
-    while n * (n + 1) // 2 <= order:
-        terms.append((n * (n + 1) // 2, n, 1))
-        n += 1
-    n = -1
-    while n * (n + 1) // 2 <= order:
-        terms.append((n * (n + 1) // 2, n, 1))
-        n -= 1
+    reach = isqrt(2 * order) + 1
+    terms = [
+        (n * (n + 1) // 2, n, 1) for n in range(-reach, reach) if n * (n + 1) // 2 <= order
+    ]
     lhs = BivariateSeries.from_terms(order, terms)
     rhs = triple_product_series(order)
     return compare_bivariate(
@@ -482,9 +475,7 @@ def check_convolution_identity(order: int, recorder: Recorder) -> CheckReport:
         ),
     ]
     lhs = p2_product * theta_alternating(order)
-    rhs_coeffs = [0] * (order + 1)
-    for m in range(order // 2 + 1):
-        rhs_coeffs[2 * m] = partitions.partition_count(m)
+    rhs_coeffs = [partitions.degenerate_count(n) for n in range(order + 1)]
     children.append(
         compare_series(
             "firstproof.identity",

@@ -18,9 +18,9 @@ from biparts.partitions import (
     Partition,
     _parse_row,
     bipartition_count,
+    degenerate_count,
     enumerate_bipartitions,
     iter_bipartitions,
-    partition_count,
     refuse_past_cap,
 )
 from biparts.report import CheckReport, Recorder, combine, compare_values
@@ -183,8 +183,6 @@ def enumerate_classes(rank: int, defect: int) -> list[SymbolClass]:
     when that weight is negative.
     """
     weight = rank - defect_offset(defect)
-    if weight < 0:
-        return []
     return [from_bipartition(bp, defect) for bp in enumerate_bipartitions(weight)]
 
 
@@ -359,7 +357,7 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
             "signed class-count difference equals the degenerate count",
             bound,
             (
-                (n, counts.plus - counts.minus, partition_count(n // 2) if n % 2 == 0 else 0)
+                (n, counts.plus - counts.minus, degenerate_count(n))
                 for n in range(bound + 1)
                 for counts in (class_counts(n),)
             ),

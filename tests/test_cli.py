@@ -336,6 +336,19 @@ class TestVerify:
         assert "FAIL  families.n3 (bound=3)" in out
         assert "first mismatch at n=3" in out
 
+    @pytest.mark.parametrize(
+        "what, bound, spec, where",
+        [
+            ("corollary", "8", "corollary.recurrence.rhs:5", "n=5: 0 != 1"),
+            ("firstproof", "20", "firstproof.identity.rhs:9", "index 9: 0 != 1"),
+        ],
+    )
+    def test_fault_at_odd_n_of_the_degenerate_side(self, capsys, what, bound, spec, where):
+        # p(n/2) is 0 at odd n, and those zeros still stream as compared values
+        code, out = run_cli(capsys, "verify", what, "--max", bound, "--inject-fault", spec)
+        assert code == 1
+        assert f"first mismatch at {where}" in out
+
     def test_fault_in_value_comparison(self, capsys):
         code, out = run_cli(
             capsys, "verify", "euler", "--max", "10", "--inject-fault", "euler.lhs:3"

@@ -304,6 +304,13 @@ class TestBivariate:
         assert (report.mismatch.lhs, report.mismatch.rhs) == (5, 7)
         assert series.compare_bivariate("aa", "a equals a", a, a, Recorder()).passed
 
+    def test_compare_order_mismatch_raises(self):
+        # zip would silently cut the longer side, so a mismatch must raise
+        with pytest.raises(OrderMismatchError, match="orders differ: 3 != 4"):
+            series.compare_bivariate(
+                "ab", "a equals b", BivariateSeries.one(3), BivariateSeries.one(4), Recorder()
+            )
+
 
 class TestRogersRamanujan:
     def test_base_quotient_expansion(self):
