@@ -19,7 +19,6 @@ from biparts.rademacher import partition_count as partition_count_rademacher
 from biparts.series import (
     BivariateSeries,
     OrderMismatchError,
-    PochFactor,
     TruncatedSeries,
     product_series,
     rogers_ramanujan_c,
@@ -49,7 +48,6 @@ __all__ = [
     "FamilyMember",
     "OrderMismatchError",
     "Partition",
-    "PochFactor",
     "SpecialSymbol",
     "Symbol",
     "SymbolClass",

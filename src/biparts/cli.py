@@ -207,11 +207,11 @@ def _cmd_symbols_enumerate(args) -> Outcome:
     return _records(map(_class_record, classes), args.format)
 
 
-def _cmd_symbols_family(args, parser) -> Outcome:
+def _cmd_symbols_family(args) -> Outcome:
     try:
         base = symbols.SpecialSymbol(symbols.Symbol.parse(args.symbol))
     except ValueError as exc:
-        parser.error(str(exc))
+        raise argparse.ArgumentError(None, str(exc))
     members = base.iter_family()  # refuses past the cap before anything is written
     records = (
         {
@@ -267,7 +267,7 @@ def _cmd_verify(args) -> Outcome:
     return code, lambda out: out.write(text)
 
 
-def _run(args, parser) -> Outcome:
+def _run(args) -> Outcome:
     if args.command == "p":
         if args.n > P_LIMIT:
             raise argparse.ArgumentError(None, f"p({args.n}) exceeds the limit {P_LIMIT}")
@@ -286,7 +286,7 @@ def _run(args, parser) -> Outcome:
         if args.symbols_command == "enumerate":
             return _cmd_symbols_enumerate(args)
         if args.symbols_command == "family":
-            return _cmd_symbols_family(args, parser)
+            return _cmd_symbols_family(args)
         return _cmd_symbols_counts(args)
     return _cmd_verify(args)
 
@@ -296,7 +296,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     code = 0
     try:
-        code, write = _run(args, parser)
+        code, write = _run(args)
         _emit(write, getattr(args, "out", None))
     except (EnumerationCapError, FaultError, argparse.ArgumentError) as exc:
         parser.error(str(exc))

@@ -156,23 +156,22 @@ def compare_values(
     bound: int,
     pairs: Iterable[tuple],
     recorder: Recorder,
-    shape: tuple[int | None, ...] | None = None,
     kind: str = "n",
 ) -> CheckReport:
     """Compare (location, lhs, rhs) triples, reporting the first difference.
 
-    A location is one integer, or a (q, z) pair when ``shape`` -- the tap
-    bounds of :meth:`Recorder.tap`, by default ``(bound,)`` -- has two
-    coordinates.  The sides are tapped as ``<check_id>.lhs|rhs``: a fault
+    A location is one integer, or a (q, z) pair when ``kind`` is ``"q,z"``;
+    ``kind`` also says how the mismatch renders it.  The sides are tapped as
+    ``<check_id>.lhs|rhs`` with the bounds of :meth:`Recorder.tap`: 0..bound
+    for the one integer, and 0..bound for q with any z for a pair.  A fault
     fires on the first triple at its location, which then differs, so a
-    location never streamed is never faulted.  ``kind`` says how the
-    mismatch renders its location.  The leaf report, noted with ``title``,
-    gets the time since the recorder's previous leaf.
+    location never streamed is never faulted.  The leaf report, noted with
+    ``title``, gets the time since the recorder's previous leaf.
     """
-    shape = (bound,) if shape is None else shape
+    scalar = kind != "q,z"
+    shape = (bound,) if scalar else (bound, None)
     lhs_fault = recorder.tap(f"{check_id}.lhs", shape)
     rhs_fault = recorder.tap(f"{check_id}.rhs", shape)
-    scalar = len(shape) == 1
     mismatch = None
     for where, lhs, rhs in pairs:
         at = (where,) if scalar else where

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import reduce
 from math import isqrt
 from operator import add, mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from biparts import kernels, partitions, rademacher
 from biparts.report import CheckReport, Recorder, combine, compare_values
@@ -60,9 +60,6 @@ class TruncatedSeries:
             and self.order == other.order
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self) -> int:
-        return hash((self.order, tuple(self.coeffs)))
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         _require_same_order(self.order, other.order)
@@ -158,30 +155,9 @@ class TruncatedSeries:
         return f"TruncatedSeries(order={self.order}, {body}{' + ...' if len(terms) == 6 else ''})"
 
 
-class PochFactor(NamedTuple):
-    """One product family prod_{k>=0} (1 - q^(offset + k*step))^exponent."""
-
-    offset: int
-    step: int
-    exponent: int
-
-
-def _validate_factors(factors: Iterable[PochFactor]) -> list[PochFactor]:
-    checked = []
-    for factor in factors:
-        offset, step, exponent = factor
-        if offset < 0 or step < 1:
-            raise ValueError(f"invalid product factor {factor}")
-        if offset == 0 and exponent < 0:
-            raise ValueError(
-                "factor with offset 0 and negative exponent has no inverse"
-            )
-        checked.append(PochFactor(offset, step, exponent))
-    return checked
-
-
-def product_series(factors: Iterable, order: int) -> TruncatedSeries:
-    """Expand a product of (1 - q^(s+km))^e families to the given order.
+def product_series(factors: Iterable[tuple[int, int, int]], order: int) -> TruncatedSeries:
+    """Expand a product of prod_{k>=0} (1 - q^(s+km))^e families, given as
+    (s, m, e) triples, to the given order.
 
     Each family is folded once, one binomial (1 - q^j) per j up to the
     order, into its own list and raised to |e| by squaring; binomials with
@@ -190,11 +166,19 @@ def product_series(factors: Iterable, order: int) -> TruncatedSeries:
     at the end, so all intermediate arithmetic stays in plain integer
     polynomials.
     """
+    factors = [tuple(factor) for factor in factors]
+    # every factor is checked before the first fold, which may return early
+    for factor in factors:
+        offset, step, exponent = factor
+        if offset < 0 or step < 1:
+            raise ValueError(f"invalid product factor {factor}")
+        if offset == 0 and exponent < 0:
+            raise ValueError(
+                "factor with offset 0 and negative exponent has no inverse"
+            )
     numerator: list[TruncatedSeries] = []
     denominator: list[TruncatedSeries] = []
-    for offset, step, exponent in _validate_factors(
-        PochFactor(*f) for f in factors
-    ):
+    for offset, step, exponent in factors:
         if exponent == 0:
             continue
         if offset == 0:
@@ -323,9 +307,7 @@ def compare_bivariate(
         for q, (row_a, row_b) in enumerate(zip(lhs.rows, rhs.rows))
         for z in span
     )
-    return compare_values(
-        check_id, title, lhs.order, pairs, recorder, shape=(lhs.order, None), kind="q,z"
-    )
+    return compare_values(check_id, title, lhs.order, pairs, recorder, kind="q,z")
 
 
 # ---------------------------------------------------------------------------

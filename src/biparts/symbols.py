@@ -320,19 +320,17 @@ def class_counts(n: int) -> ClassCounts:
     """Counts of rank-n classes over all even defects, from the p2 table.
 
     ``by_defect`` is keyed by the defects in the order 0, 2, -2, 4, -4, ...
-    and reads the table once per pair +-d: the classes of defect d have
-    the bipartitions of n - d^2/4 as images.  ``plus`` collects defects
+    and reads the table once per pair +-d: the classes of defect d = 2m
+    have the bipartitions of n - m^2 as images.  ``plus`` collects defects
     = 0 (mod 4), ``minus`` defects = 2 (mod 4).
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_defect: dict[int, int] = {}
-    d = 0
-    while d * d // 4 <= n:
-        by_defect[d] = by_defect[-d] = bipartition_count(n - d * d // 4)
-        d += 2
+    for m in range(math.isqrt(n) + 1):
+        by_defect[2 * m] = by_defect[-2 * m] = bipartition_count(n - m * m)
     plus = sum(c for d, c in by_defect.items() if d % 4 == 0)
-    minus = sum(c for d, c in by_defect.items() if d % 4 == 2)
+    minus = sum(by_defect.values()) - plus
     return ClassCounts(plus, minus, by_defect)
 
 

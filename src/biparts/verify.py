@@ -88,24 +88,20 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
 
 @dataclass(frozen=True)
 class Check:
-    name: str
     run: Callable[[int, Recorder], CheckReport]
     default_bound: int
 
 
 CHECKS: dict[str, Check] = {
-    check.name: check
-    for check in [
-        Check("euler", check_partition_recursion, 40),
-        Check("thm1", check_bipartition_recursion, 5000),
-        Check("lemma22", series.check_theta_product_chain, 1000),
-        Check("jacobi", series.check_jacobi_triple_product, 200),
-        Check("firstproof", series.check_convolution_identity, 1000),
-        Check("families", symbols.check_family_partition, 12),
-        Check("corollary", symbols.check_class_count_difference, 2000),
-        Check("appendix", series.check_quintic_identities, 500),
-        Check("congruence", series.check_mod5_congruences, 10_000),
-    ]
+    "euler": Check(check_partition_recursion, 40),
+    "thm1": Check(check_bipartition_recursion, 5000),
+    "lemma22": Check(series.check_theta_product_chain, 1000),
+    "jacobi": Check(series.check_jacobi_triple_product, 200),
+    "firstproof": Check(series.check_convolution_identity, 1000),
+    "families": Check(symbols.check_family_partition, 12),
+    "corollary": Check(symbols.check_class_count_difference, 2000),
+    "appendix": Check(series.check_quintic_identities, 500),
+    "congruence": Check(series.check_mod5_congruences, 10_000),
 }
 
 

@@ -303,6 +303,7 @@ class TestVerify:
             ("firstproof", "firstproof.identity.lhs:9999"),  # past the order
             ("jacobi", "jacobi.rhs:999,0"),
             ("jacobi", "jacobi.rhs:3,50"),  # z outside the compared span
+            ("jacobi", "jacobi.rhs:3"),  # one coordinate on a (q, z) comparison
             ("firstproof", "firstproof.identity.lhs:-1"),
             ("firstproof", "firstproof.identity.lhs:3,1"),  # wrong arity
             ("firstproof", "firstproof.identity.lhs:7:0"),  # zero delta

@@ -188,6 +188,8 @@ class TestProductSeries:
             product_series([(1, 0, 1)], 3)
         with pytest.raises(ValueError):
             product_series([(-1, 1, 1)], 3)
+        with pytest.raises(ValueError):  # checked even after a collapsing factor
+            product_series([(0, 1, 1), (0, 1, -1)], 3)
 
     def test_partition_series_matches_table(self):
         assert partition_series(200).coeffs == partitions.partition_counts_upto(200)

@@ -417,6 +417,21 @@ class TestClassCounts:
         with pytest.raises(ValueError):
             class_counts(-1)
 
+    def test_key_order(self):
+        # `symbols counts` JSON lists the defects in this order
+        assert list(class_counts(9).by_defect) == [0, 2, -2, 4, -4, 6, -6]
+
+    def test_signed_sums_by_defect_mod_4(self):
+        # every n up to 60, perfect squares among them, where the largest
+        # defect d has d^2/4 = n exactly
+        for n in range(61):
+            counts = class_counts(n)
+            by_defect = counts.by_defect
+            assert counts.plus == sum(c for d, c in by_defect.items() if d % 4 == 0)
+            assert counts.minus == sum(c for d, c in by_defect.items() if d % 4 == 2)
+            top = max(by_defect) // 2
+            assert top * top <= n < (top + 1) * (top + 1)
+
 
 # Breakages of the symbol calculus, each confined to one rank; every one must
 # fail exactly that rank's families leaf.
