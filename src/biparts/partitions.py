@@ -37,6 +37,10 @@ def refuse_past_cap(count: Callable[[int], int], n: int, what: str) -> None:
             )
 
 
+def _format_row(values: tuple[int, ...]) -> str:
+    return ",".join(map(str, values)) if values else "-"
+
+
 def _parse_row(text: str) -> tuple[int, ...]:
     if text == "-":
         return ()
@@ -84,7 +88,7 @@ class Partition:
         return f"Partition({list(self.parts)})"
 
     def __str__(self) -> str:
-        return ",".join(map(str, self.parts)) if self.parts else "-"
+        return _format_row(self.parts)
 
     @classmethod
     def parse(cls, text: str) -> "Partition":

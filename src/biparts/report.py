@@ -4,8 +4,9 @@ A failed comparison always carries its first mismatch: the location plus the
 two disagreeing values.  A bare boolean is useless when a thousand-term
 series differs in one coefficient.
 
-A :class:`Recorder` runs the checks: it times every report and applies at
-most one injected fault, so the harness can prove that it reports failures.
+A :class:`Recorder` runs the checks and makes every leaf comparison through
+:meth:`Recorder.compare`: it times every report and applies at most one
+injected fault, so the harness can prove that it reports failures.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ class Mismatch:
     location: tuple[int, ...]
     lhs: int
     rhs: int
-    kind: str = "index"  # "index", "q,z" or "n" -- how to render location
+    kind: str  # "index", "q,z" or "n" -- how to render location
 
     def describe(self) -> str:
         if self.kind == "q,z":
@@ -40,7 +41,7 @@ class CheckReport:
     """Outcome of one verification, possibly aggregating sub-checks."""
 
     name: str
-    bound: int | None
+    bound: int
     passed: bool
     mismatch: Mismatch | None = None
     elapsed: float = 0.0
@@ -50,9 +51,7 @@ class CheckReport:
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
         status = "PASS" if self.passed else "FAIL"
-        bits = [f"{pad}{status}  {self.name}"]
-        if self.bound is not None:
-            bits.append(f"(bound={self.bound})")
+        bits = [f"{pad}{status}  {self.name}", f"(bound={self.bound})"]
         if indent == 0:
             bits.append(f"[{self.elapsed:.2f}s]")
         if self.note:
@@ -84,7 +83,7 @@ class CheckReport:
         return out
 
 
-def combine(name: str, bound: int | None, children: list[CheckReport]) -> CheckReport:
+def combine(name: str, bound: int, children: list[CheckReport]) -> CheckReport:
     """Aggregate sub-reports; fails iff any child fails, carries first mismatch,
     and takes the sum of their elapsed times."""
     passed = all(child.passed for child in children)
@@ -103,16 +102,16 @@ class Fault(NamedTuple):
 
     target: str
     location: tuple[int, ...]
-    delta: int = 1
+    delta: int
 
 
 class Recorder:
-    """Runs checks, times their reports and applies at most one fault.
+    """Runs checks, compares and times their leaves, applies at most one fault.
 
-    A leaf report gets the time since the previous leaf or the start of its
-    check, an aggregate the sum of its children (see :func:`combine`), and a
-    check run through :meth:`run` its wall time.  A recorder serves one run
-    and is not shared between threads.
+    A leaf report, made by :meth:`compare`, gets the time since the previous
+    leaf or the start of its check, an aggregate the sum of its children (see
+    :func:`combine`), and a check run through :meth:`run` its wall time.  A
+    recorder serves one run and is not shared between threads.
     """
 
     def __init__(self, fault: Fault | None = None):
@@ -129,64 +128,43 @@ class Recorder:
         report.elapsed = time.perf_counter() - start
         return report
 
-    def tap(self, target: str, bounds: tuple[int | None, ...]) -> Fault | None:
-        """The fault, if it corrupts the compared side ``target``.
+    def compare(
+        self, check_id: str, title: str, bound: int, pairs: Iterable[tuple], kind: str = "n"
+    ) -> CheckReport:
+        """Compare (location, lhs, rhs) triples, reporting the first difference.
 
-        ``bounds`` holds the compared object's largest index per coordinate
-        (None: any integer); a fault outside them raises FaultError.
-        :func:`compare_values` applies it and counts each application in
-        ``fired``.
+        A location is one integer, or a (q, z) pair when ``kind`` is ``"q,z"``;
+        ``kind`` also says how the mismatch renders it.  The fault taps the
+        sides ``<check_id>.lhs`` and ``<check_id>.rhs``: its location must be
+        in 0..bound, or for a pair have q in 0..bound and any z, else
+        FaultError.  It fires on the first triple at its location, which then
+        differs, so a location never streamed is never faulted; ``fired``
+        counts each firing.  The leaf report, noted with ``title``, gets the
+        time since the previous leaf.
         """
+        scalar = kind != "q,z"
         fault = self.fault
-        if fault is None or fault.target != target:
-            return None
-        if len(fault.location) != len(bounds) or any(
-            bound is not None and not 0 <= index <= bound
-            for index, bound in zip(fault.location, bounds)
+        if fault is not None and fault.target not in (f"{check_id}.lhs", f"{check_id}.rhs"):
+            fault = None
+        if fault is not None and (
+            len(fault.location) != (1 if scalar else 2) or not 0 <= fault.location[0] <= bound
         ):
             where = ",".join(map(str, fault.location))
-            shape = ",".join("any" if b is None else f"0..{b}" for b in bounds)
-            raise FaultError(f"fault location {where} is outside {target} ({shape})")
-        return fault
-
-
-def compare_values(
-    check_id: str,
-    title: str,
-    bound: int,
-    pairs: Iterable[tuple],
-    recorder: Recorder,
-    kind: str = "n",
-) -> CheckReport:
-    """Compare (location, lhs, rhs) triples, reporting the first difference.
-
-    A location is one integer, or a (q, z) pair when ``kind`` is ``"q,z"``;
-    ``kind`` also says how the mismatch renders it.  The sides are tapped as
-    ``<check_id>.lhs|rhs`` with the bounds of :meth:`Recorder.tap`: 0..bound
-    for the one integer, and 0..bound for q with any z for a pair.  A fault
-    fires on the first triple at its location, which then differs, so a
-    location never streamed is never faulted.  The leaf report, noted with
-    ``title``, gets the time since the recorder's previous leaf.
-    """
-    scalar = kind != "q,z"
-    shape = (bound,) if scalar else (bound, None)
-    lhs_fault = recorder.tap(f"{check_id}.lhs", shape)
-    rhs_fault = recorder.tap(f"{check_id}.rhs", shape)
-    mismatch = None
-    for where, lhs, rhs in pairs:
-        at = (where,) if scalar else where
-        if lhs_fault and lhs_fault.location == at:
-            lhs += lhs_fault.delta
-            recorder.fired += 1
-        if rhs_fault and rhs_fault.location == at:
-            rhs += rhs_fault.delta
-            recorder.fired += 1
-        if lhs != rhs:
-            mismatch = Mismatch(at, lhs, rhs, kind)
-            break
-    now = time.perf_counter()
-    report = CheckReport(
-        check_id, bound, mismatch is None, mismatch, now - recorder._lap, note=title
-    )
-    recorder._lap = now
-    return report
+            shape = f"0..{bound}" if scalar else f"0..{bound},any"
+            raise FaultError(f"fault location {where} is outside {fault.target} ({shape})")
+        on_lhs = fault is not None and fault.target.endswith(".lhs")
+        mismatch = None
+        for where, lhs, rhs in pairs:
+            at = (where,) if scalar else where
+            if fault is not None and fault.location == at:
+                self.fired += 1
+                if on_lhs:
+                    lhs += fault.delta
+                else:
+                    rhs += fault.delta
+            if lhs != rhs:
+                mismatch = Mismatch(at, lhs, rhs, kind)
+                break
+        now = time.perf_counter()
+        elapsed, self._lap = now - self._lap, now
+        return CheckReport(check_id, bound, mismatch is None, mismatch, elapsed, note=title)

@@ -14,7 +14,7 @@ from operator import add, mul
 from typing import Iterable, Sequence
 
 from biparts import kernels, partitions, rademacher
-from biparts.report import CheckReport, Recorder, combine, compare_values
+from biparts.report import CheckReport, Recorder, combine
 
 
 class OrderMismatchError(ValueError):
@@ -277,7 +277,7 @@ class BivariateSeries:
 
 # ---------------------------------------------------------------------------
 # Comparison helpers producing reports.  Each streams its coefficients
-# through compare_values, which taps the sides as ``<check-id>.lhs`` and
+# through Recorder.compare, which taps the sides as ``<check-id>.lhs`` and
 # ``<check-id>.rhs``.
 
 
@@ -287,7 +287,7 @@ def compare_series(
     """Coefficient-wise comparison, located by ``index i``."""
     _require_same_order(lhs.order, rhs.order)
     pairs = zip(range(lhs.order + 1), lhs.coeffs, rhs.coeffs)
-    return compare_values(check_id, title, lhs.order, pairs, recorder, kind="index")
+    return recorder.compare(check_id, title, lhs.order, pairs, kind="index")
 
 
 def compare_bivariate(
@@ -307,7 +307,7 @@ def compare_bivariate(
         for q, (row_a, row_b) in enumerate(zip(lhs.rows, rhs.rows))
         for z in span
     )
-    return compare_values(check_id, title, lhs.order, pairs, recorder, kind="q,z")
+    return recorder.compare(check_id, title, lhs.order, pairs, kind="q,z")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def check_theta_product_chain(order: int, recorder: Recorder) -> CheckReport:
          partitions.count_odd_parts, odd),
     ):
         pairs = ((n, count(n), product.coeffs[n]) for n in range(count_bound + 1))
-        children.append(compare_values(check_id, title, count_bound, pairs, recorder))
+        children.append(recorder.compare(check_id, title, count_bound, pairs))
     return combine("lemma22", order, children)
 
 
@@ -641,26 +641,23 @@ def check_mod5_congruences(bound: int, recorder: Recorder) -> CheckReport:
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
     children = [
-        compare_values(
+        recorder.compare(
             "congruence.bipartition",
             "bipartition counts vanish mod 5 at residues 2, 3, 4",
             bound,
             ((m, p2[m] % 5, 0) for m in range(bound + 1) if m % 5 in (2, 3, 4)),
-            recorder,
         ),
-        compare_values(
+        recorder.compare(
             "congruence.partition",
             "partition counts vanish mod 5 at residue 4",
             bound,
             ((m, p[m] % 5, 0) for m in range(4, bound + 1, 5)),
-            recorder,
         ),
-        compare_values(
+        recorder.compare(
             "congruence.rademacher",
             "partition table equals the Rademacher series at the bound",
             bound,
             [(bound, p[bound], rademacher.partition_count(bound))],
-            recorder,
         ),
     ]
     return combine("congruence", bound, children)

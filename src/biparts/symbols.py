@@ -16,6 +16,7 @@ from typing import Iterator
 from biparts.partitions import (
     Bipartition,
     Partition,
+    _format_row,
     _parse_row,
     bipartition_count,
     degenerate_count,
@@ -23,7 +24,7 @@ from biparts.partitions import (
     iter_bipartitions,
     refuse_past_cap,
 )
-from biparts.report import CheckReport, Recorder, combine, compare_values
+from biparts.report import CheckReport, Recorder, combine
 
 
 class Symbol:
@@ -110,10 +111,7 @@ class Symbol:
         return f"{type(self).__name__}({list(self.top)}, {list(self.bottom)})"
 
     def __str__(self) -> str:
-        def row(values: tuple[int, ...]) -> str:
-            return ",".join(map(str, values)) if values else "-"
-
-        return f"{row(self.top)};{row(self.bottom)}"
+        return f"{_format_row(self.top)};{_format_row(self.bottom)}"
 
     @staticmethod
     def parse(text: str) -> "Symbol":
@@ -350,7 +348,7 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
     # it by half, past the bound
     bipartition_count(bound)
     children = [
-        compare_values(
+        recorder.compare(
             "corollary.recurrence",
             "signed class-count difference equals the degenerate count",
             bound,
@@ -359,9 +357,8 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
                 for n in range(bound + 1)
                 for counts in (class_counts(n),)
             ),
-            recorder,
         ),
-        compare_values(
+        recorder.compare(
             "corollary.enumeration",
             "recurrence counts agree with explicit class enumeration",
             enum_bound,
@@ -370,7 +367,6 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
                 for n in range(enum_bound + 1)
                 for d, count in class_counts(n).by_defect.items()
             ),
-            recorder,
         ),
     ]
     return combine("corollary", bound, children)
@@ -393,12 +389,11 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
         classes = set().union(*by_defect.values())
         specials = map(SpecialSymbol, filter(is_special, by_defect[0]))
         children.append(
-            compare_values(
+            recorder.compare(
                 f"families.n{n}",
                 f"families partition the {len(classes)} classes of rank {n}",
                 n,
                 _family_triples(n, specials, classes),
-                recorder,
             )
         )
     return combine("families", bound, children)

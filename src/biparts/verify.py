@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from biparts import partitions, series, symbols
-from biparts.report import CheckReport, Recorder, combine, compare_values
+from biparts.report import CheckReport, Recorder, combine
 
 
 def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
@@ -18,7 +18,7 @@ def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     # refuse up front: the per-call cap would otherwise fire only after the
     # smaller ranks were enumerated in full
     partitions.refuse_past_cap(partitions.partition_count, bound, "p")
-    return compare_values(
+    return recorder.compare(
         "euler",
         "recurrence equals exhaustive partition enumeration",
         bound,
@@ -26,7 +26,6 @@ def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
             (n, partitions.partition_count(n), len(partitions.enumerate_partitions(n)))
             for n in range(bound + 1)
         ),
-        recorder,
     )
 
 
@@ -42,7 +41,7 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     # and each read past a table's end would grow it by half
     partitions.bipartition_count_convolution(bound)
     partitions.bipartition_count(bound)
-    convolution = compare_values(
+    convolution = recorder.compare(
         "thm1.convolution",
         "square recurrence equals the convolution of the partition table",
         bound,
@@ -54,7 +53,6 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
             )
             for n in range(bound + 1)
         ),
-        recorder,
     )
     # one enumeration pass per n counts every bipartition and the degenerate
     # ones; it runs before the next leaf, so its time is thm1.enumeration's
@@ -68,19 +66,17 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
         degenerate.append(fixed)
     children = [
         convolution,
-        compare_values(
+        recorder.compare(
             "thm1.enumeration",
             "square recurrence equals exhaustive bipartition enumeration",
             enum_bound,
             ((n, partitions.bipartition_count(n), enumerated[n]) for n in range(enum_bound + 1)),
-            recorder,
         ),
-        compare_values(
+        recorder.compare(
             "thm1.degenerate",
             "degenerate count matches the transpose-fixed bipartitions",
             enum_bound,
             ((n, partitions.degenerate_count(n), degenerate[n]) for n in range(enum_bound + 1)),
-            recorder,
         ),
     ]
     return combine("thm1", bound, children)

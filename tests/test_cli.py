@@ -297,25 +297,43 @@ class TestVerify:
         assert code == 0
 
     def test_malformed_fault_spec(self, capsys):
-        for what, spec in [
-            ("firstproof", "no-colon"),
-            ("firstproof", "a:1,2,3"),
-            ("firstproof", "firstproof.identity.lhs:9999"),  # past the order
-            ("jacobi", "jacobi.rhs:999,0"),
-            ("jacobi", "jacobi.rhs:3,50"),  # z outside the compared span
-            ("jacobi", "jacobi.rhs:3"),  # one coordinate on a (q, z) comparison
-            ("firstproof", "firstproof.identity.lhs:-1"),
-            ("firstproof", "firstproof.identity.lhs:3,1"),  # wrong arity
-            ("firstproof", "firstproof.identity.lhs:7:0"),  # zero delta
-            ("firstproof", "nosuch.lhs:3"),  # never fires
-            ("firstproof", "lemma22.ratio.lhs:3"),  # check that did not run
-            ("congruence", "congruence.bipartition.lhs:5"),  # n never compared
-            ("families", "families.n3.lhs:1"),  # an n the leaf does not compare
-            ("families", "families.n3.lhs:5"),  # outside 0..3
+        outside = "fault location {} is outside {} ({})"
+        never = (
+            "--inject-fault {!r} never fired: "
+            "no comparison that ran taps that target and location"
+        )
+        for what, spec, message in [
+            ("firstproof", "no-colon", "malformed --inject-fault spec: 'no-colon'"),
+            ("firstproof", "a:1,2,3", "malformed --inject-fault spec: 'a:1,2,3'"),
+            # past the order
+            ("firstproof", "firstproof.identity.lhs:9999",
+             outside.format("9999", "firstproof.identity.lhs", "0..8")),
+            ("jacobi", "jacobi.rhs:999,0", outside.format("999,0", "jacobi.rhs", "0..8,any")),
+            # z outside the compared span
+            ("jacobi", "jacobi.rhs:3,50", never.format("jacobi.rhs:3,50")),
+            # one coordinate on a (q, z) comparison
+            ("jacobi", "jacobi.rhs:3", outside.format("3", "jacobi.rhs", "0..8,any")),
+            ("firstproof", "firstproof.identity.lhs:-1",
+             outside.format("-1", "firstproof.identity.lhs", "0..8")),
+            # wrong arity
+            ("firstproof", "firstproof.identity.lhs:3,1",
+             outside.format("3,1", "firstproof.identity.lhs", "0..8")),
+            ("firstproof", "firstproof.identity.lhs:7:0", "fault delta must be nonzero"),
+            ("firstproof", "nosuch.lhs:3", never.format("nosuch.lhs:3")),
+            # check that did not run
+            ("firstproof", "lemma22.ratio.lhs:3", never.format("lemma22.ratio.lhs:3")),
+            # n never compared
+            ("congruence", "congruence.bipartition.lhs:5",
+             never.format("congruence.bipartition.lhs:5")),
+            # an n the leaf does not compare
+            ("families", "families.n3.lhs:1", never.format("families.n3.lhs:1")),
+            # outside 0..3
+            ("families", "families.n3.lhs:5", outside.format("5", "families.n3.lhs", "0..3")),
         ]:
             run_cli_expect_usage_error("verify", what, "--max", "8", "--inject-fault", spec)
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 2 and err[0].startswith("usage:"), (spec, err)
+            assert err[1] == f"biparts: error: {message}", (spec, err)
 
     def test_fault_in_class_enumeration(self, capsys):
         code, out = run_cli(
