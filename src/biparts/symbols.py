@@ -63,12 +63,6 @@ class Symbol:
     def is_degenerate(self) -> bool:
         return self.top == self.bottom
 
-    def contains(self, other: "Symbol") -> bool:
-        """Row-wise subset test."""
-        return set(other.top) <= set(self.top) and set(other.bottom) <= set(
-            self.bottom
-        )
-
     def shift(self, steps: int = 1) -> "Symbol":
         """Apply the rank/defect-preserving shift ``steps`` times."""
         top, bottom = self.top, self.bottom
@@ -215,7 +209,7 @@ def is_special(symbol: Symbol) -> bool:
 
 @dataclass(frozen=True)
 class FamilyMember:
-    """One symbol of a family: the flipped subset and the resulting symbol."""
+    """One symbol of a family: the moved subset and the resulting symbol."""
 
     subset: Symbol
     symbol: Symbol
@@ -224,8 +218,8 @@ class FamilyMember:
 class SpecialSymbol:
     """A special symbol together with its singles and degree.
 
-    The singles are the entries appearing in exactly one row; flipping any
-    subset of them between the rows generates the family.
+    The singles are the entries appearing in exactly one row; moving any
+    subset of them to the other row generates the family.
     """
 
     __slots__ = ("symbol", "singles", "degree")
@@ -241,39 +235,39 @@ class SpecialSymbol:
         )
         self.degree = len(self.singles.top)
 
-    def subsets(self) -> Iterator[Symbol]:
-        """All subsymbols of the singles, in binary-counter order.
-
-        Counter bits run over the 2*degree singles with the top row in the
-        high bits (leftmost entry highest) and the bottom row in the low
-        bits; subsets appear for counter values 0, 1, 2, ...
-        """
-        top, bottom = self.singles.top, self.singles.bottom
-        d = self.degree
-        for v in range(1 << (2 * d)):
-            chosen_top = tuple(top[i] for i in range(d) if v >> (2 * d - 1 - i) & 1)
-            chosen_bottom = tuple(bottom[i] for i in range(d) if v >> (d - 1 - i) & 1)
-            yield Symbol(chosen_top, chosen_bottom)
-
-    def flip(self, subset: Symbol) -> Symbol:
-        """Move each entry of ``subset`` (a subsymbol of the singles) to the
-        other row; the result has defect -2 * defect(subset)."""
-        if not self.singles.contains(subset):
-            raise ValueError(f"{subset} is not a subsymbol of the singles {self.singles}")
-        top = (set(self.symbol.top) - set(subset.top)) | set(subset.bottom)
-        bottom = (set(self.symbol.bottom) - set(subset.bottom)) | set(subset.top)
-        return Symbol(sorted(top, reverse=True), sorted(bottom, reverse=True))
-
     def iter_family(self) -> Iterator[FamilyMember]:
-        """All 4^degree flips, one per subset, in subset order, made one at a
+        """All 4^degree members, one per subset of the singles, made one at a
         time.
+
+        Counter value v moves the singles whose bits are set to the other
+        row.  Counter bits run over the 2*degree singles with the top row in
+        the high bits (leftmost entry highest) and the bottom row in the low
+        bits; members appear for v = 0, 1, 2, ...  A subset of defect k gives
+        a member of defect -2k.
 
         Refuses with :class:`EnumerationCapError` when 4^degree exceeds the
         enumeration cap, i.e. from degree 12 on; the refusal comes before
         this returns.
         """
         refuse_past_cap(lambda k: 4**k, self.degree, "4^")
-        return (FamilyMember(subset, self.flip(subset)) for subset in self.subsets())
+        top, bottom = set(self.symbol.top), set(self.symbol.bottom)
+        entries = sorted(top | bottom, reverse=True)
+        singles = (self.singles.top + self.singles.bottom)[::-1]  # bit i moves singles[i]
+
+        def member(v: int) -> FamilyMember:
+            moved = {s for i, s in enumerate(singles) if v >> i & 1}
+            return FamilyMember(
+                Symbol(
+                    [a for a in self.singles.top if a in moved],
+                    [b for b in self.singles.bottom if b in moved],
+                ),
+                Symbol(
+                    [e for e in entries if (e in top) != (e in moved)],
+                    [e for e in entries if (e in bottom) != (e in moved)],
+                ),
+            )
+
+        return map(member, range(4**self.degree))
 
     def family(self) -> list[FamilyMember]:
         """The members of :meth:`iter_family` as a list."""
@@ -281,8 +275,8 @@ class SpecialSymbol:
 
     def parity_difference(self) -> int:
         """(# even-size subsets of the singles) - (# odd-size subsets),
-        by direct enumeration of the counter values of :meth:`subsets`: the
-        subset of value v has v.bit_count() entries.
+        by direct enumeration of the counter values of :meth:`iter_family`:
+        the subset of value v has v.bit_count() entries.
 
         Refuses with :class:`EnumerationCapError`, as :meth:`family` does,
         when 4^degree exceeds the enumeration cap.
@@ -404,14 +398,15 @@ def _family_triples(
 ) -> Iterator[tuple[int, int, int]]:
     """The compared triples of ``families.n{n}``, made one family at a time
     so that a rank's families are never all in memory together."""
-    reached: set[SymbolClass] = set()
+    reached: set[Symbol] = set()
     size_total = 0
     for special in specials:
         family = special.family()
         size_total += len(family)
         yield n, len(family), 4**special.degree
+        # every member is reduced, so it equals and hashes as its class
         reached.update(
-            SymbolClass(member.symbol)
+            member.symbol
             for member in family
             if member.symbol.defect == -2 * member.subset.defect
         )

@@ -136,6 +136,18 @@ class TestSymbolsCommands:
         assert code == 0
         assert json.loads(out) == {"0": 20, "2": 10, "-2": 10, "4": 1, "-4": 1}
 
+    def test_counts_csv(self, capsys):
+        code, out = run_cli(capsys, "symbols", "counts", "--rank", "4", "--format", "csv")
+        assert code == 0
+        assert out == "defect,count\n0,20\n2,10\n-2,10\n4,1\n-4,1\n"
+
+    def test_counts_text(self, capsys):
+        code, out = run_cli(capsys, "symbols", "counts", "--rank", "4", "--format", "text")
+        assert code == 0
+        assert [line.split() for line in out.splitlines()] == [
+            ["defect", "count"], ["0", "20"], ["2", "10"], ["-2", "10"], ["4", "1"], ["-4", "1"]
+        ]
+
     def test_enumerate_json_records(self, capsys):
         code, out = run_cli(
             capsys,
@@ -286,6 +298,32 @@ class TestVerify:
         )
         assert code == 1
         assert "first mismatch at q^3 z^-1" in out
+
+    @pytest.mark.parametrize(
+        "check, bound, spec, location, lhs, rhs",
+        [
+            ("euler", "10", "euler.lhs:3", [3], 4, 3),
+            ("jacobi", "12", "jacobi.rhs:3,-1:5", [3, -1], 0, 5),
+            ("appendix", "60", "appendix.bipartition_form.rhs:10", [10], 481, 482),
+        ],
+        ids=["euler", "jacobi", "appendix"],
+    )
+    def test_json_mismatch(self, capsys, check, bound, spec, location, lhs, rhs):
+        code, out = run_cli(
+            capsys,
+            "verify", check, "--max", bound, "--inject-fault", spec, "--format", "json",
+        )
+        assert code == 1
+        [report] = json.loads(out)
+        expected = {"location": location, "lhs": lhs, "rhs": rhs}
+        # the top-level report carries the mismatch of the leaf the fault names
+        leaf_name = spec.partition(":")[0].rsplit(".", 1)[0]
+        reports = [report]
+        for node in reports:
+            reports.extend(node.get("children", []))
+        leaf = next(node for node in reports if node["name"] == leaf_name)
+        assert report["passed"] is False and leaf["passed"] is False
+        assert report["mismatch"] == leaf["mismatch"] == expected
 
     def test_fault_injection_cleared_after_run(self, capsys):
         run_cli(

@@ -51,6 +51,8 @@ class TestTruncatedSeries:
     def test_construction_rejects_overflow(self):
         with pytest.raises(ValueError):
             TruncatedSeries(1, [1, 2, 3])
+        with pytest.raises(ValueError):
+            TruncatedSeries(-1)
 
     def test_difference_of_squares(self):
         a = TruncatedSeries(2, [1, 1])
@@ -87,6 +89,8 @@ class TestTruncatedSeries:
         assert s.shift(0) == s
         assert s.shift(7) == TruncatedSeries.zero(4)
         assert s.shift(99) == TruncatedSeries.zero(4)
+        with pytest.raises(ValueError):
+            s.shift(-1)
 
     def test_dissect(self):
         s = TruncatedSeries(6, [1, 2, 3, 4, 5, 6, 7])
@@ -106,6 +110,8 @@ class TestTruncatedSeries:
         assert s.dilate(3, 8).coeffs == [1, 0, 0, -1, 0, 0, 2, 0, 0]
         with pytest.raises(ValueError):
             s.dilate(3, 9)  # would need coefficient 3 of the source
+        with pytest.raises(ValueError):
+            s.dilate(0, 10)
 
     @given(a=series_strategy, b=series_strategy, c=series_strategy)
     @settings(max_examples=40)
@@ -289,6 +295,17 @@ class TestBivariate:
     def test_rows_drop_zeros(self):
         s = BivariateSeries(2, [{0: 1, 3: 0}, {}, {-1: 2}])
         assert s.rows == [{0: 1}, {}, {-1: 2}]
+        assert BivariateSeries(3, [{0: 1}]).rows == [{0: 1}, {}, {}, {}]
+
+    def test_construction_validates(self):
+        with pytest.raises(ValueError):
+            BivariateSeries(-1)
+        with pytest.raises(ValueError):
+            BivariateSeries(1, [{}, {}, {}])
+        with pytest.raises(ValueError):
+            BivariateSeries.from_terms(2, [(3, 0, 1)])
+        with pytest.raises(ValueError):
+            BivariateSeries.from_terms(2, [(-1, 0, 1)])
 
     def test_mul(self):
         # (1 + z q) * (1 + z^-1) = 1 + z^-1 + z q + q
@@ -407,6 +424,12 @@ class TestChecks:
     def test_fifth_dissections_pass(self):
         report = check_fifth_dissections(120, Recorder())
         assert report.passed
+
+    @pytest.mark.parametrize("order", range(20))
+    def test_appendix_below_the_highest_term(self, order):
+        # below order 14 the dissection terms past the order are skipped
+        assert check_fifth_dissections(order, Recorder()).passed
+        assert check_quintic_identities(order, Recorder()).passed
 
     def test_dissection_residue2_leading_coefficient(self):
         # the residue-2 identity forces p2(2) = 5 at q^2

@@ -294,14 +294,10 @@ class TestSpecials:
 class TestFamilies:
     def test_flip_examples(self):
         z = SpecialSymbol(Symbol.parse("3,1;2,0"))
-        assert z.flip(Symbol.parse("3;-")) == Symbol.parse("1;3,2,0")
-        assert z.flip(Symbol.parse("-;-")) == z.symbol
-        assert z.flip(Symbol.parse("3,1;2,0")) == Symbol.parse("2,0;3,1")
-
-    def test_flip_rejects_non_subset(self):
-        z = SpecialSymbol(Symbol.parse("4,1;1,0"))
-        with pytest.raises(ValueError):
-            z.flip(Symbol.parse("1;-"))  # 1 is a repeated entry, not a single
+        member_of = {m.subset: m.symbol for m in z.family()}
+        assert member_of[Symbol.parse("3;-")] == Symbol.parse("1;3,2,0")
+        assert member_of[Symbol.parse("-;-")] == z.symbol
+        assert member_of[Symbol.parse("3,1;2,0")] == Symbol.parse("2,0;3,1")
 
     def test_family_of_3120_matches_table(self):
         z = SpecialSymbol(Symbol.parse("3,1;2,0"))
@@ -363,7 +359,8 @@ class TestParity:
 
     def test_subset_size_is_counter_bit_count(self):
         # parity_difference reads each subset's size off its counter value
-        sizes = [len(s.top) + len(s.bottom) for s in SpecialSymbol(interleaved_special(3)).subsets()]
+        members = SpecialSymbol(interleaved_special(3)).family()
+        sizes = [len(m.subset.top) + len(m.subset.bottom) for m in members]
         assert sizes == [v.bit_count() for v in range(4**3)]
 
     @pytest.mark.parametrize("degree, refused", [(11, False), (12, True), (13, True)])
@@ -457,12 +454,12 @@ def _first_rank5_special_missed(is_special):
     return patched
 
 
-def _rank4_flip_transposed(flip):
-    def patched(self, subset):
-        flipped = flip(self, subset)
-        if self.symbol.rank == 4 and subset.defect == 1:
-            return flipped.transpose()
-        return flipped
+def _rank4_member_transposed(iter_family):
+    def patched(self):
+        for member in iter_family(self):
+            if self.symbol.rank == 4 and member.subset.defect == 1:
+                member = FamilyMember(member.subset, member.symbol.transpose())
+            yield member
 
     return patched
 
@@ -514,7 +511,7 @@ class TestChecks:
         [
             (symbols.SpecialSymbol, "family", _short_rank1_family, "families.n1"),
             (symbols, "is_special", _first_rank5_special_missed, "families.n5"),
-            (symbols.SpecialSymbol, "flip", _rank4_flip_transposed, "families.n4"),
+            (symbols.SpecialSymbol, "iter_family", _rank4_member_transposed, "families.n4"),
             (symbols.SpecialSymbol, "family", _rank6_family_repeats_first, "families.n6"),
         ],
         ids=lambda value: value if isinstance(value, str) else None,
