@@ -68,6 +68,14 @@ class Partition:
             previous = p
         self.parts = parts
 
+    @classmethod
+    def _of(cls, parts: tuple[int, ...]) -> "Partition":
+        """The partition of ``parts``, a tuple its caller built positive and
+        weakly decreasing; nothing is checked, so only generators use it."""
+        self = object.__new__(cls)
+        self.parts = parts
+        return self
+
     @property
     def weight(self) -> int:
         return sum(self.parts)
@@ -288,7 +296,7 @@ def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:
 
 def iter_partitions(n: int) -> Iterator[Partition]:
     """Yield the partitions of n in lexicographically decreasing order."""
-    return map(Partition, _partition_tuples(n))
+    return map(Partition._of, _partition_tuples(n))
 
 
 def enumerate_partitions(n: int) -> list[Partition]:

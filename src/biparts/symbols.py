@@ -10,6 +10,7 @@ reduced member (the one without a 0 in both rows).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -35,6 +36,15 @@ class Symbol:
     def __init__(self, top=(), bottom=()):
         self.top = self._check_row(tuple(top))
         self.bottom = self._check_row(tuple(bottom))
+
+    @classmethod
+    def _of(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "Symbol":
+        """The symbol of two tuples its caller built strictly decreasing and
+        nonnegative; nothing is checked, so only generators use it."""
+        self = object.__new__(cls)
+        self.top = top
+        self.bottom = bottom
+        return self
 
     @staticmethod
     def _check_row(row: tuple[int, ...]) -> tuple[int, ...]:
@@ -131,9 +141,9 @@ class SymbolClass(Symbol):
 
 
 def _staircase_strip(row: tuple[int, ...]) -> Partition:
-    m = len(row)
-    parts = [row[i] - (m - 1 - i) for i in range(m)]
-    return Partition([p for p in parts if p > 0])
+    parts = map(operator.sub, row, range(len(row) - 1, -1, -1))
+    # a strictly decreasing row less the staircase is weakly decreasing
+    return Partition._of(tuple([p for p in parts if p > 0]))
 
 
 def to_bipartition(symbol: Symbol) -> Bipartition:
@@ -157,9 +167,14 @@ def from_bipartition(bipartition: Bipartition, defect: int = 0) -> SymbolClass:
     m_top = m_bottom + defect
     padded_top = top + (0,) * (m_top - len(top))
     padded_bottom = bottom + (0,) * (m_bottom - len(bottom))
-    new_top = tuple(padded_top[i] + (m_top - 1 - i) for i in range(m_top))
-    new_bottom = tuple(padded_bottom[i] + (m_bottom - 1 - i) for i in range(m_bottom))
-    return SymbolClass(Symbol(new_top, new_bottom))
+    # a weakly decreasing row plus the staircase is strictly decreasing, and
+    # the symbol is reduced: the bottom row is padded only when m_bottom
+    # exceeds len(bottom), and then m_top = len(top), so the top row is not
+    # padded and does not end in 0
+    return SymbolClass._of(
+        tuple(map(operator.add, padded_top, range(m_top - 1, -1, -1))),
+        tuple(map(operator.add, padded_bottom, range(m_bottom - 1, -1, -1))),
+    )
 
 
 def defect_offset(defect: int) -> int:
@@ -229,9 +244,9 @@ class SpecialSymbol:
             raise ValueError(f"symbol {symbol} is not special")
         common = set(symbol.top) & set(symbol.bottom)
         self.symbol = symbol
-        self.singles = Symbol(
-            tuple(a for a in symbol.top if a not in common),
-            tuple(b for b in symbol.bottom if b not in common),
+        self.singles = Symbol._of(
+            tuple([a for a in symbol.top if a not in common]),
+            tuple([b for b in symbol.bottom if b not in common]),
         )
         self.degree = len(self.singles.top)
 
@@ -256,14 +271,15 @@ class SpecialSymbol:
 
         def member(v: int) -> FamilyMember:
             moved = {s for i, s in enumerate(singles) if v >> i & 1}
+            # every row is a subsequence of a strictly decreasing one
             return FamilyMember(
-                Symbol(
-                    [a for a in self.singles.top if a in moved],
-                    [b for b in self.singles.bottom if b in moved],
+                Symbol._of(
+                    tuple([a for a in self.singles.top if a in moved]),
+                    tuple([b for b in self.singles.bottom if b in moved]),
                 ),
-                Symbol(
-                    [e for e in entries if (e in top) != (e in moved)],
-                    [e for e in entries if (e in bottom) != (e in moved)],
+                Symbol._of(
+                    tuple([e for e in entries if (e in top) != (e in moved)]),
+                    tuple([e for e in entries if (e in bottom) != (e in moved)]),
                 ),
             )
 
@@ -369,12 +385,13 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
 def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     """Families of special symbols partition the even-defect classes.
 
-    For each rank n <= bound the leaf compares, all at n: each family's size
-    with 4^degree; the sum of the family sizes with the number of
-    even-defect classes; and the number of those classes reached by a member
-    at defect -2*defect(subset) with that number again.  The last two agree
-    only if every member obeys the defect law, no class is reached twice and
-    every class is reached.
+    For each rank n <= bound the leaf compares, all at n: the number of
+    distinct member symbols of each family with 4^degree, which holds only
+    if the counter-to-member map is one-to-one; the sum of the family sizes
+    with the number of even-defect classes; and the number of those classes
+    reached by a member at defect -2*defect(subset) with that number again.
+    The last two agree only if every member obeys the defect law, no class
+    is reached twice and every class is reached.
     """
     refuse_past_cap(bipartition_count, bound, "p2")
     children = []
@@ -403,7 +420,7 @@ def _family_triples(
     for special in specials:
         family = special.family()
         size_total += len(family)
-        yield n, len(family), 4**special.degree
+        yield n, len({member.symbol for member in family}), 4**special.degree
         # every member is reduced, so it equals and hashes as its class
         reached.update(
             member.symbol

@@ -33,6 +33,19 @@ def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
 BIPARTITION_ENUM_BOUND = 25
 
 
+def _bipartition_tallies(n: int) -> tuple[int, int]:
+    """(all, degenerate) bipartitions of n, by visiting every (top, bottom)
+    pair of partition tuples; a pair is degenerate when its rows are equal."""
+    total = fixed = 0
+    for a in range(n, -1, -1):
+        bottoms = list(partitions._partition_tuples(n - a))
+        for top in partitions._partition_tuples(a):
+            for bottom in bottoms:
+                total += 1
+                fixed += top == bottom
+    return total, fixed
+
+
 def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Square-recurrence counts against convolution and enumeration."""
     enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
@@ -54,29 +67,22 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
             for n in range(bound + 1)
         ),
     )
-    # one enumeration pass per n counts every bipartition and the degenerate
-    # ones; it runs before the next leaf, so its time is thm1.enumeration's
-    enumerated, degenerate = [], []
-    for n in range(enum_bound + 1):
-        total = fixed = 0
-        for b in partitions.iter_bipartitions(n):
-            total += 1
-            fixed += b.is_degenerate
-        enumerated.append(total)
-        degenerate.append(fixed)
+    # the enumeration pass runs before the next leaf, so its time is
+    # thm1.enumeration's
+    tallies = [_bipartition_tallies(n) for n in range(enum_bound + 1)]
     children = [
         convolution,
         recorder.compare(
             "thm1.enumeration",
             "square recurrence equals exhaustive bipartition enumeration",
             enum_bound,
-            ((n, partitions.bipartition_count(n), enumerated[n]) for n in range(enum_bound + 1)),
+            ((n, partitions.bipartition_count(n), tallies[n][0]) for n in range(enum_bound + 1)),
         ),
         recorder.compare(
             "thm1.degenerate",
             "degenerate count matches the transpose-fixed bipartitions",
             enum_bound,
-            ((n, partitions.degenerate_count(n), degenerate[n]) for n in range(enum_bound + 1)),
+            ((n, partitions.degenerate_count(n), tallies[n][1]) for n in range(enum_bound + 1)),
         ),
     ]
     return combine("thm1", bound, children)

@@ -23,7 +23,7 @@ from golden import (
     RANK4_SPECIALS,
 )
 
-from biparts import partitions, series, symbols
+from biparts import partitions, rademacher, series, symbols
 from biparts.partitions import CountCache
 from biparts.report import Recorder
 from biparts.symbols import SpecialSymbol, Symbol, SymbolClass
@@ -51,9 +51,9 @@ def test_criterion_2_partition_recursion_and_large_n():
     start = time.perf_counter()
     value = fresh.partition_count(100_000)
     elapsed = time.perf_counter() - start
-    assert value == partitions.partition_count(100_000)
+    assert value == rademacher.partition_count(100_000)
     assert elapsed < 5.0, f"p(1e5) took {elapsed:.1f}s, budget 5s"
-    announce(2, f"recursion = enumeration to 40; p(100000) in {elapsed:.1f}s")
+    announce(2, f"recursion = enumeration to 40; p(100000) = Rademacher in {elapsed:.1f}s")
 
 
 def test_criterion_3_rank_four_tables():

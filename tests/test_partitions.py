@@ -211,8 +211,15 @@ class TestThm1Enumeration:
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 100)
         monkeypatch.setattr(partitions, "iter_bipartitions", forbidden)
         monkeypatch.setattr(partitions, "enumerate_bipartitions", forbidden)
+        monkeypatch.setattr(partitions, "_partition_tuples", forbidden)
         with pytest.raises(EnumerationCapError):
             check_bipartition_recursion(30, Recorder())
+
+    @pytest.mark.parametrize("n", range(26))
+    def test_tallies_count_every_and_every_degenerate_bipartition(self, n):
+        items = list(iter_bipartitions(n))
+        degenerate = sum(b.is_degenerate for b in items)
+        assert verify._bipartition_tallies(n) == (len(items), degenerate)
 
     def test_leaves_keep_ids_and_bounds(self, monkeypatch):
         monkeypatch.setattr(verify, "BIPARTITION_ENUM_BOUND", 12)

@@ -172,8 +172,9 @@ class TestBijection:
         shifted = s.shift(2)
         assert shifted.reduced() == s and shifted.reduced() is not shifted
 
-    def test_each_class_is_validated_once(self, monkeypatch):
-        # from_bipartition builds one Symbol (two rows); its class reuses it
+    def test_from_bipartition_validates_no_row(self, monkeypatch):
+        # its rows are ordered by construction; the generated objects are
+        # checked against the validating constructors in the next test
         checked = []
         check_row = Symbol._check_row
         monkeypatch.setattr(
@@ -181,7 +182,32 @@ class TestBijection:
         )
         cls = from_bipartition(Bipartition(Partition([2, 1]), Partition([1])), 0)
         assert str(cls) == "3,1;2,0"
-        assert checked == [(3, 1), (2, 0)]
+        assert checked == []
+
+    def test_generated_objects_pass_the_validating_constructors(self):
+        def revalidated(symbol):
+            again = Symbol(symbol.top, symbol.bottom)
+            assert (again.top, again.bottom) == (symbol.top, symbol.bottom)
+            return again
+
+        for n in range(21):
+            for p in partitions.iter_partitions(n):
+                assert Partition(p.parts).parts == p.parts
+        for n in range(11):
+            for d in range(-6, 7, 2):
+                for cls in enumerate_classes(n, d):
+                    # a class is its reduced symbol
+                    again = SymbolClass(revalidated(cls))
+                    assert (again.top, again.bottom) == (cls.top, cls.bottom)
+                    bp = to_bipartition(cls)
+                    assert Partition(bp.top.parts).parts == bp.top.parts
+                    assert Partition(bp.bottom.parts).parts == bp.bottom.parts
+                    if d == 0 and is_special(cls):
+                        special = SpecialSymbol(cls)
+                        revalidated(special.singles)
+                        for member in special.iter_family():
+                            revalidated(member.subset)
+                            revalidated(member.symbol)
 
     def test_image_is_class_invariant(self):
         s = Symbol.parse("3,1;2,0")
