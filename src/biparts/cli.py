@@ -132,7 +132,7 @@ def _write_records(out: TextIO, records: Iterable[dict], fmt: str) -> None:
     JSON and CSV are written one record at a time, byte for byte as
     ``json.dumps(list(records), indent=2) + "\n"`` and a one-shot
     ``csv.DictWriter``.  The text table holds every record, because each
-    column is as wide as its widest value.
+    column but the last is padded to its widest value.
     """
     if fmt == "json":
         empty = True
@@ -154,17 +154,12 @@ def _write_records(out: TextIO, records: Iterable[dict], fmt: str) -> None:
         writer.writerows(records)
         return
     records = [first, *records]
-    widths = {
-        k: max(len(k), *(len(str(r[k])) for r in records)) for k in keys
-    }
+    widths = {k: max(len(k), *(len(str(r[k])) for r in records)) for k in keys}
+    widths[keys[-1]] = 0  # no line ends in padding
     lines = ["  ".join(k.ljust(widths[k]) for k in keys)]
     for record in records:
-        lines.append(
-            "  ".join(
-                ("-" if record[k] is None else str(record[k])).ljust(widths[k])
-                for k in keys
-            )
-        )
+        cells = {k: "-" if v is None else str(v) for k, v in record.items()}
+        lines.append("  ".join(cells[k].ljust(widths[k]) for k in keys))
     out.write("\n".join(lines) + "\n")
 
 

@@ -20,12 +20,10 @@ from biparts.partitions import (
     _format_row,
     _parse_row,
     bipartition_count,
-    degenerate_count,
     enumerate_bipartitions,
     iter_bipartitions,
     refuse_past_cap,
 )
-from biparts.report import CheckReport, Recorder, combine
 
 
 class Symbol:
@@ -330,102 +328,14 @@ def class_counts(n: int) -> ClassCounts:
     ``by_defect`` is keyed by the defects in the order 0, 2, -2, 4, -4, ...
     and reads the table once per pair +-d: the classes of defect d = 2m
     have the bipartitions of n - m^2 as images.  ``plus`` collects defects
-    = 0 (mod 4), ``minus`` defects = 2 (mod 4).
+    = 0 (mod 4), ``minus`` defects = 2 (mod 4), in the same pass.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_defect: dict[int, int] = {}
+    sums = [0, 0]  # plus at even m, minus at odd m
     for m in range(math.isqrt(n) + 1):
-        by_defect[2 * m] = by_defect[-2 * m] = bipartition_count(n - m * m)
-    plus = sum(c for d, c in by_defect.items() if d % 4 == 0)
-    minus = sum(by_defect.values()) - plus
-    return ClassCounts(plus, minus, by_defect)
+        count = by_defect[2 * m] = by_defect[-2 * m] = bipartition_count(n - m * m)
+        sums[m & 1] += count if m == 0 else 2 * count
+    return ClassCounts(sums[0], sums[1], by_defect)
 
-
-#: Rank up to which check_class_count_difference re-enumerates the classes.
-CLASS_ENUM_BOUND = 12
-
-
-def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
-    """plus-counts minus minus-counts equals the degenerate count p(n/2).
-
-    Verified from the recurrence tables up to ``bound`` and re-verified, one
-    defect at a time, by full class enumeration up to ``CLASS_ENUM_BOUND``.
-    """
-    enum_bound = min(CLASS_ENUM_BOUND, bound)
-    # one exact fill of p2 to the bound, and with it of p to bound // 2: the
-    # reads below walk n upward, and each read past a table's end would grow
-    # it by half, past the bound
-    bipartition_count(bound)
-    children = [
-        recorder.compare(
-            "corollary.recurrence",
-            "signed class-count difference equals the degenerate count",
-            bound,
-            (
-                (n, counts.plus - counts.minus, degenerate_count(n))
-                for n in range(bound + 1)
-                for counts in (class_counts(n),)
-            ),
-        ),
-        recorder.compare(
-            "corollary.enumeration",
-            "recurrence counts agree with explicit class enumeration",
-            enum_bound,
-            (
-                (n, count, len(enumerate_classes(n, d)))
-                for n in range(enum_bound + 1)
-                for d, count in class_counts(n).by_defect.items()
-            ),
-        ),
-    ]
-    return combine("corollary", bound, children)
-
-
-def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
-    """Families of special symbols partition the even-defect classes.
-
-    For each rank n <= bound the leaf compares, all at n: the number of
-    distinct member symbols of each family with 4^degree, which holds only
-    if the counter-to-member map is one-to-one; the sum of the family sizes
-    with the number of even-defect classes; and the number of those classes
-    reached by a member at defect -2*defect(subset) with that number again.
-    The last two agree only if every member obeys the defect law, no class
-    is reached twice and every class is reached.
-    """
-    refuse_past_cap(bipartition_count, bound, "p2")
-    children = []
-    for n in range(bound + 1):
-        by_defect = {d: enumerate_classes(n, d) for d in class_counts(n).by_defect}
-        classes = set().union(*by_defect.values())
-        specials = map(SpecialSymbol, filter(is_special, by_defect[0]))
-        children.append(
-            recorder.compare(
-                f"families.n{n}",
-                f"families partition the {len(classes)} classes of rank {n}",
-                n,
-                _family_triples(n, specials, classes),
-            )
-        )
-    return combine("families", bound, children)
-
-
-def _family_triples(
-    n: int, specials: Iterator[SpecialSymbol], classes: set[SymbolClass]
-) -> Iterator[tuple[int, int, int]]:
-    """The compared triples of ``families.n{n}``, made one family at a time
-    so that a rank's families are never all in memory together."""
-    reached: set[Symbol] = set()
-    size_total = 0
-    for special in specials:
-        family = special.family()
-        size_total += len(family)
-        yield n, len({member.symbol for member in family}), 4**special.degree
-        # every member is reduced, so it equals and hashes as its class
-        reached.update(
-            member.symbol
-            for member in family
-            if member.symbol.defect == -2 * member.subset.defect
-        )
-    yield n, size_total, len(classes)
-    yield n, len(reached & classes), len(classes)

@@ -23,7 +23,7 @@ from golden import (
     RANK4_SPECIALS,
 )
 
-from biparts import partitions, rademacher, series, symbols
+from biparts import partitions, rademacher, series, symbols, verify
 from biparts.partitions import CountCache
 from biparts.report import Recorder
 from biparts.symbols import SpecialSymbol, Symbol, SymbolClass
@@ -128,9 +128,9 @@ def test_criterion_6_signed_class_count_difference():
 def test_criterion_7_series_identities():
     budgets = {}
     for name, build, bound in [
-        ("theta product chain", series.check_theta_product_chain, 1000),
-        ("triple product", series.check_jacobi_triple_product, 200),
-        ("convolution identity", series.check_convolution_identity, 1000),
+        ("theta product chain", verify.check_theta_product_chain, 1000),
+        ("triple product", verify.check_jacobi_triple_product, 200),
+        ("convolution identity", verify.check_convolution_identity, 1000),
     ]:
         report = Recorder().run(build, bound)
         assert report.passed, report.render()
@@ -148,10 +148,10 @@ def test_criterion_7_series_identities():
 
 
 def test_criterion_8_five_dissection_and_congruences():
-    assert series.check_factor_square(Recorder()).passed
-    report = series.check_fifth_dissections(500, Recorder())
+    assert verify.check_factor_square(Recorder()).passed
+    report = verify.check_fifth_dissections(500, Recorder())
     assert report.passed, report.render()
-    congruences = series.check_mod5_congruences(10_000, Recorder())
+    congruences = verify.check_mod5_congruences(10_000, Recorder())
     assert congruences.passed, congruences.render()
     announce(8, "factor-square table, dissections to 500, congruences to 10000")
 

@@ -130,6 +130,27 @@ class TestTable:
         run_cli_expect_usage_error("table", "--max", "-1")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("table", "--max", "30"),
+        ("symbols", "enumerate", "--rank", "6", "--defect", "2"),
+        ("symbols", "enumerate", "--rank", "4", "--defect", "0"),
+        ("symbols", "family", "--symbol", "3,1;2,0"),
+        ("symbols", "counts", "--rank", "4"),
+    ],
+    ids=["table", "enumerate-defect2", "enumerate-defect0", "family", "counts"],
+)
+def test_text_lines_end_without_padding(capsys, argv):
+    code, out = run_cli(capsys, *argv, "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) > 2
+    assert [line for line in lines if line.endswith(" ")] == []
+    # the columns before the last are still padded: it starts at one offset
+    assert len({len(line) - len(line.split()[-1]) for line in lines}) == 1
+
+
 class TestSymbolsCommands:
     def test_counts_json(self, capsys):
         code, out = run_cli(capsys, "symbols", "counts", "--rank", "4")

@@ -12,12 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from biparts import kernels, partitions, series
+from biparts import kernels, partitions, series, verify
 from biparts.report import Fault, Recorder
 from biparts.series import (
     BivariateSeries,
     OrderMismatchError,
     TruncatedSeries,
+    partition_series,
+    product_series,
+    rogers_ramanujan_c,
+    theta_alternating,
+)
+from biparts.verify import (
     check_convolution_identity,
     check_factor_square,
     check_fifth_dissections,
@@ -25,10 +31,6 @@ from biparts.series import (
     check_mod5_congruences,
     check_quintic_identities,
     check_theta_product_chain,
-    partition_series,
-    product_series,
-    rogers_ramanujan_c,
-    theta_alternating,
 )
 
 ORDER = 12
@@ -317,16 +319,16 @@ class TestBivariate:
     def test_first_mismatch(self):
         a = BivariateSeries.from_terms(2, [(0, 0, 1), (1, 2, 5)])
         b = BivariateSeries.from_terms(2, [(0, 0, 1), (1, 2, 7)])
-        report = series.compare_bivariate("ab", "a equals b", a, b, Recorder())
+        report = verify.compare_bivariate("ab", "a equals b", a, b, Recorder())
         assert not report.passed
         assert report.mismatch.location == (1, 2)
         assert (report.mismatch.lhs, report.mismatch.rhs) == (5, 7)
-        assert series.compare_bivariate("aa", "a equals a", a, a, Recorder()).passed
+        assert verify.compare_bivariate("aa", "a equals a", a, a, Recorder()).passed
 
     def test_compare_order_mismatch_raises(self):
         # zip would silently cut the longer side, so a mismatch must raise
         with pytest.raises(OrderMismatchError, match="orders differ: 3 != 4"):
-            series.compare_bivariate(
+            verify.compare_bivariate(
                 "ab", "a equals b", BivariateSeries.one(3), BivariateSeries.one(4), Recorder()
             )
 
@@ -401,7 +403,7 @@ class TestChecks:
             n -= 1
         lhs = BivariateSeries.from_terms(order, terms)
         rhs = generic_triple_product(order, eta=False)
-        report = series.compare_bivariate("broken", "no eta factors", lhs, rhs, Recorder())
+        report = verify.compare_bivariate("broken", "no eta factors", lhs, rhs, Recorder())
         assert not report.passed
         assert report.mismatch is not None
 

@@ -14,7 +14,7 @@ from golden import (
     RANK4_SPECIALS,
 )
 
-from biparts import partitions, symbols
+from biparts import partitions, symbols, verify
 from biparts.partitions import (
     Bipartition,
     EnumerationCapError,
@@ -27,8 +27,6 @@ from biparts.symbols import (
     SpecialSymbol,
     Symbol,
     SymbolClass,
-    check_class_count_difference,
-    check_family_partition,
     class_counts,
     defect_offset,
     enumerate_classes,
@@ -38,6 +36,7 @@ from biparts.symbols import (
     parity_difference_binomial,
     to_bipartition,
 )
+from biparts.verify import check_class_count_difference, check_family_partition
 
 
 def symbol_strategy(max_entry: int = 10, max_len: int = 5):
@@ -502,13 +501,28 @@ def _rank6_family_repeats_first(family):
 
 class TestChecks:
     def test_class_count_difference(self, monkeypatch):
-        monkeypatch.setattr(symbols, "CLASS_ENUM_BOUND", 10)
+        monkeypatch.setattr(verify, "CLASS_ENUM_BOUND", 10)
         report = check_class_count_difference(200, Recorder())
         assert report.passed
         assert [(c.name, c.bound) for c in report.children] == [
             ("corollary.recurrence", 200),
             ("corollary.enumeration", 10),
         ]
+
+    def test_recurrence_leaf_catches_a_wrong_p_table(self, monkeypatch):
+        # the p2 table is built from p by the square recurrence that the
+        # signed class-count sum re-adds, so only the convolution route can
+        # tell a wrong p(150) from the right one
+        cache = partitions.CountCache()
+        monkeypatch.setattr(partitions, "_CACHE", cache)
+        partitions.partition_count(300)
+        cache._p[150] += 1
+        report = check_class_count_difference(300, Recorder())
+        recurrence = report.children[0]
+        assert recurrence.name == "corollary.recurrence"
+        assert not recurrence.passed
+        assert recurrence.mismatch.location == (150,)
+        assert recurrence.mismatch.lhs == recurrence.mismatch.rhs + 2
 
     def test_broken_sign_symmetry_is_a_mismatch(self, monkeypatch):
         # one class lost at defect -2 of rank 5: reported, not raised
