@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import os
 import sys
@@ -107,17 +109,26 @@ Outcome = tuple[int, Callable[[TextIO], object]]
 
 
 def _emit(write: Callable[[TextIO], object], out: str | None) -> None:
-    """Run ``write`` once on the destination: ``--out FILE``, else stdout."""
-    if not out:
-        write(sys.stdout)
-        # a reader that closed the pipe early is met here, not at exit
-        sys.stdout.flush()
-        return
+    """Run ``write`` once on ``--out FILE``, else stdout: the one path by
+    which output leaves the program, and the one place a failed write is met.
+
+    A reader that closed the pipe early, as ``| head`` does, cuts the output
+    short but keeps the exit code; any other failed write is a usage error.
+    A failed stdout is first pointed at the null device, so that the flush
+    at interpreter exit cannot fail again.
+    """
     try:
-        with open(out, "w") as handle:
+        with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as handle:
             write(handle)
+            handle.flush()
     except OSError as exc:
-        raise argparse.ArgumentError(None, f"cannot write --out {out}: {exc.strerror}")
+        if not out:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            where = f"--out {out}" if out else "stdout"
+            raise argparse.ArgumentError(None, f"cannot write {where}: {exc.strerror}")
 
 
 #: The body of one flat record's entry in ``json.dumps(records, indent=2)``
@@ -130,9 +141,10 @@ def _write_records(out: TextIO, records: Iterable[dict], fmt: str) -> None:
     empty or ``-``.
 
     JSON and CSV are written one record at a time, byte for byte as
-    ``json.dumps(list(records), indent=2) + "\n"`` and a one-shot
-    ``csv.DictWriter``.  The text table holds every record, because each
-    column but the last is padded to its widest value.
+    ``json.dumps(list(records), indent=2) + "\n"`` and as ``csv.writer`` rows
+    of each record's values under the first record's keys.  The text table
+    renders each cell once and holds every rendered row, because each column
+    but the last is padded to its widest rendered cell.
     """
     if fmt == "json":
         empty = True
@@ -146,21 +158,16 @@ def _write_records(out: TextIO, records: Iterable[dict], fmt: str) -> None:
     first = next(records, None)
     if first is None:
         return
-    keys = list(first)
+    records = itertools.chain([first], records)
     if fmt == "csv":
-        writer = csv.DictWriter(out, keys, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(first)
-        writer.writerows(records)
+        writer.writerows(map(dict.values, records))
         return
-    records = [first, *records]
-    widths = {k: max(len(k), *(len(str(r[k])) for r in records)) for k in keys}
-    widths[keys[-1]] = 0  # no line ends in padding
-    lines = ["  ".join(k.ljust(widths[k]) for k in keys)]
-    for record in records:
-        cells = {k: "-" if v is None else str(v) for k, v in record.items()}
-        lines.append("  ".join(cells[k].ljust(widths[k]) for k in keys))
-    out.write("\n".join(lines) + "\n")
+    rows = [list(first), *(["-" if v is None else str(v) for v in r.values()] for r in records)]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    widths[-1] = 0  # no line ends in padding
+    out.write("\n".join("  ".join(map(str.ljust, row, widths)) for row in rows) + "\n")
 
 
 def _records(records: Iterable[dict], fmt: str) -> Outcome:
@@ -289,19 +296,11 @@ def _run(args) -> Outcome:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    code = 0
     try:
         code, write = _run(args)
         _emit(write, getattr(args, "out", None))
     except (EnumerationCapError, FaultError, argparse.ArgumentError) as exc:
         parser.error(str(exc))
-    except BrokenPipeError:
-        # the reader closed stdout early, as ``| head`` does: the output is
-        # cut short, not wrong.  Point stdout at the null device so that the
-        # flush at interpreter exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return code
 
 

@@ -315,8 +315,6 @@ def iter_bipartitions(n: int) -> Iterator[Bipartition]:
     The bottom rows of each top weight are listed once and reused for every
     top; nothing beyond them is built ahead of the first item.
     """
-    if n < 0:
-        return
     for a in range(n, -1, -1):
         bottoms = list(iter_partitions(n - a))
         for top in iter_partitions(a):

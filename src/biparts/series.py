@@ -308,12 +308,9 @@ def triple_product_series(order: int) -> BivariateSeries:
         if k <= order:
             for column in columns.values():
                 kernels.fold_binomial(column, k)
-    rows: list[dict] = [dict() for _ in range(size)]
-    for z, column in columns.items():
-        for q_exp, coeff in enumerate(column):
-            if coeff:
-                rows[q_exp][z] = coeff
-    return BivariateSeries(order, rows)
+    return BivariateSeries.from_terms(
+        order, ((q, z, c) for z, column in columns.items() for q, c in enumerate(column))
+    )
 
 
 #: Factors of R(q) = (q^2;q^5)(q^3;q^5) / ((q;q^5)(q^4;q^5)).

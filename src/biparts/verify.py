@@ -291,8 +291,6 @@ def _laurent_combination(
     """sum coeff * c^c_exp * q^q_exp for (c_exp, coeff, q_exp) triples."""
     acc = series.TruncatedSeries.zero(order)
     for c_exp, coeff, q_exp in terms:
-        if q_exp > order:
-            continue
         acc = acc + (powers[c_exp] * coeff).shift(q_exp)
     return acc
 

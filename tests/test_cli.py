@@ -6,14 +6,15 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
-from biparts import partitions, symbols
-from biparts.cli import _write_records, main
+from biparts import partitions, symbols, verify
+from biparts.cli import P_LIMIT, _write_records, main
 
 
 def run_cli(capsys, *argv):
@@ -69,6 +70,13 @@ def test_streamed_records_match_one_shot_rendering(records):
         writer.writerows(records)
     assert as_json.getvalue() == json.dumps(records, indent=2) + "\n"
     assert as_csv.getvalue() == one_shot_csv.getvalue()
+
+
+def test_text_columns_are_as_wide_as_their_rendered_cells():
+    # None renders as "-", so column a is one character wide, not four
+    out = io.StringIO()
+    _write_records(out, iter([{"a": None, "b": 1}, {"a": None, "b": 22}]), "text")
+    assert out.getvalue() == "a  b\n-  1\n-  22\n"
 
 
 class TestCounting:
@@ -534,6 +542,32 @@ def test_closed_stdout_pipe_keeps_the_exit_code():
     assert err == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("p2", "4"),
+        ("table", "--max", "50", "--format", "csv"),
+        ("verify", "euler", "--max", "5"),
+    ],
+    ids=["p2", "table-csv", "verify"],
+)
+def test_full_stdout_is_usage_error(command):
+    # every write to /dev/full fails with ENOSPC, at the write or the flush
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "biparts.cli", *command],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    err = proc.stderr.splitlines()
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert len(err) == 2 and err[0].startswith("usage:"), err
+    assert err[1] == "biparts: error: cannot write stdout: No space left on device"
+
+
 def test_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "biparts.cli", "p2", "4"],
@@ -542,3 +576,55 @@ def test_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "20\n"
+
+
+SMALL = ["0", "1", "4", "9", "-3", "", "1.5", "1e3", "\u0663", "1_0"]
+#: Only the paths that refuse up front draw these.
+HUGE = [str(10**30), str(P_LIMIT + 1)]
+DEGREE_13 = ",".join(map(str, range(25, 0, -2))) + ";" + ",".join(map(str, range(24, -1, -2)))
+SYMBOL_TEXTS = ["3,1;2,0", "7,5,3,1;6,4,2,0", "-;-", "2;2", "1;0", "3,1;2", "x", "", ";", DEGREE_13]
+FAULT_SPECS = [
+    "euler.lhs:3", "euler.lhs:99999", "thm1.enumeration.rhs:5", "jacobi.rhs:3,-1:5",
+    "families.n3.lhs:3", "euler.lhs:3:0", "euler.lhs:", "euler.lhs:1,2,3", "bogus", "nosuch.lhs:1",
+]
+
+
+def _draw_argv(rng: random.Random) -> list[str]:
+    pick = rng.choice
+    fmt = ["--format", pick(["text", "json", "csv", "xml"])]
+    command = pick(["p", "p2", "table", "enumerate", "family", "counts", "verify"])
+    if command == "p":
+        return ["p", pick(SMALL + HUGE)]
+    if command == "p2":
+        return ["p2", pick(SMALL)]
+    if command == "table":
+        return ["table", "--max", pick(SMALL), *fmt]
+    if command == "enumerate":
+        return ["symbols", "enumerate", "--rank", pick(SMALL + HUGE), "--defect", pick(SMALL), *fmt]
+    if command == "family":
+        return ["symbols", "family", "--symbol", pick(SYMBOL_TEXTS), *fmt]
+    if command == "counts":
+        return ["symbols", "counts", "--rank", pick(SMALL), *fmt]
+    what = pick(["all", *verify.CHECKS, "bogus"])
+    bounds = SMALL + HUGE if what in ("euler", "families") else SMALL
+    argv = ["verify", what, "--max", pick(bounds), *fmt]
+    if rng.random() < 0.3:
+        argv += ["--inject-fault", pick(FAULT_SPECS)]
+    return argv
+
+
+def test_drawn_command_lines_exit_honestly(capsys):
+    # 0 or 2 for every drawn command line, 1 only for an injected fault,
+    # and nothing but SystemExit escapes main
+    rng = random.Random(0)
+    seen = set()
+    for _ in range(400):
+        argv = _draw_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        capsys.readouterr()
+        assert code in (0, 2) or (code == 1 and "--inject-fault" in argv), argv
+        seen.add(code)
+    assert {0, 2} <= seen

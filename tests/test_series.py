@@ -429,7 +429,7 @@ class TestChecks:
 
     @pytest.mark.parametrize("order", range(20))
     def test_appendix_below_the_highest_term(self, order):
-        # below order 14 the dissection terms past the order are skipped
+        # below order 14 the dissection terms past the order shift to zero
         assert check_fifth_dissections(order, Recorder()).passed
         assert check_quintic_identities(order, Recorder()).passed
 
