@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import itertools
 import json
 import os
 import sys
@@ -135,43 +134,75 @@ def _emit(write: Callable[[TextIO], object], out: str | None) -> None:
 #: is ``_encode_record(record)[1:-1]``; without ``indent`` json encodes in C.
 _encode_record = json.JSONEncoder(separators=(",\n    ", ": ")).encode
 
+#: Characters collected before a write: stdout flushes every write when
+#: PYTHONUNBUFFERED is set, so record output leaves in blocks this large.
+BLOCK = 1 << 16
 
-def _write_records(out: TextIO, records: Iterable[dict], fmt: str) -> None:
-    """Records -> JSON list, CSV rows or text table; None renders as null,
-    empty or ``-``.
 
-    JSON and CSV are written one record at a time, byte for byte as
+class _Blocks:
+    """A text sink that passes what it collects on to ``out`` in blocks of at
+    least :data:`BLOCK` characters; :meth:`flush` writes the rest."""
+
+    def __init__(self, out: TextIO):
+        self.out = out
+        self.parts: list[str] = []
+        self.size = 0
+
+    def write(self, text: str) -> None:
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size >= BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        if self.parts:
+            self.out.write("".join(self.parts))
+            self.parts.clear()
+            self.size = 0
+
+
+def _write_records(
+    out: TextIO, records: Iterable[dict], fmt: str, columns: Sequence[str]
+) -> None:
+    """Records whose keys are ``columns`` -> JSON list, CSV rows or text
+    table; None renders as null, empty or ``-``.
+
+    JSON and CSV are rendered one record at a time, byte for byte as
     ``json.dumps(list(records), indent=2) + "\n"`` and as ``csv.writer`` rows
-    of each record's values under the first record's keys.  The text table
-    renders each cell once and holds every rendered row, because each column
-    but the last is padded to its widest rendered cell.
+    of each record's values under a header of ``columns``, and leave in
+    blocks of at least :data:`BLOCK` characters.  The text table renders
+    each cell once and holds every rendered row, because each column but
+    the last is padded to its widest rendered cell.  An empty listing is
+    ``[]`` in JSON and the header line alone in CSV and text.
     """
-    if fmt == "json":
-        empty = True
-        for record in records:
-            out.write("[\n  {\n    " if empty else "\n  },\n  {\n    ")
-            out.write(_encode_record(record)[1:-1])
-            empty = False
-        out.write("[]\n" if empty else "\n  }\n]\n")
+    if fmt == "text":
+        rows = [list(columns), *(["-" if v is None else str(v) for v in r.values()] for r in records)]
+        widths = [max(map(len, column)) for column in zip(*rows)]
+        widths[-1] = 0  # no line ends in padding
+        out.write("\n".join("  ".join(map(str.ljust, row, widths)) for row in rows) + "\n")
         return
-    records = iter(records)
-    first = next(records, None)
-    if first is None:
-        return
-    records = itertools.chain([first], records)
+    blocks = _Blocks(out)
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(first)
+        writer = csv.writer(blocks, lineterminator="\n")
+        writer.writerow(columns)
         writer.writerows(map(dict.values, records))
-        return
-    rows = [list(first), *(["-" if v is None else str(v) for v in r.values()] for r in records)]
-    widths = [max(map(len, column)) for column in zip(*rows)]
-    widths[-1] = 0  # no line ends in padding
-    out.write("\n".join("  ".join(map(str.ljust, row, widths)) for row in rows) + "\n")
+    else:
+        opening, closing = "[\n  {\n    ", "[]\n"
+        for record in records:
+            blocks.write(opening + _encode_record(record)[1:-1])
+            opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
+        blocks.write(closing)
+    blocks.flush()
 
 
-def _records(records: Iterable[dict], fmt: str) -> Outcome:
-    return 0, lambda out: _write_records(out, records, fmt)
+def _records(records: Iterable[dict], fmt: str, columns: Sequence[str]) -> Outcome:
+    return 0, lambda out: _write_records(out, records, fmt, columns)
+
+
+TABLE_COLUMNS = ("n", "p", "p2", "p_half", "phi_plus", "phi_minus")
+CLASS_COLUMNS = ("symbol", "rank", "defect", "bipartition", "special", "degree")
+MEMBER_COLUMNS = ("subset", "symbol", "defect")
+COUNT_COLUMNS = ("defect", "count")
 
 
 def _table_records(bound: int) -> Iterator[dict]:
@@ -179,15 +210,15 @@ def _table_records(bound: int) -> Iterator[dict]:
     # past a table's end would grow it by half, past the bound
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
+    phi_plus, phi_minus = symbols.class_count_columns(p2)
     for n in range(bound + 1):
-        counts = symbols.class_counts(n)
         yield {
             "n": n,
             "p": p[n],
             "p2": p2[n],
             "p_half": partitions.degenerate_count(n),
-            "phi_plus": counts.plus,
-            "phi_minus": counts.minus,
+            "phi_plus": phi_plus[n],
+            "phi_minus": phi_minus[n],
         }
 
 
@@ -206,7 +237,7 @@ def _class_record(cls: symbols.SymbolClass) -> dict:
 def _cmd_symbols_enumerate(args) -> Outcome:
     # iter_classes refuses past the cap before anything is written
     classes = symbols.iter_classes(args.rank, args.defect)
-    return _records(map(_class_record, classes), args.format)
+    return _records(map(_class_record, classes), args.format, CLASS_COLUMNS)
 
 
 def _cmd_symbols_family(args) -> Outcome:
@@ -223,7 +254,7 @@ def _cmd_symbols_family(args) -> Outcome:
         }
         for member in members
     )
-    return _records(records, args.format)
+    return _records(records, args.format, MEMBER_COLUMNS)
 
 
 def _cmd_symbols_counts(args) -> Outcome:
@@ -232,7 +263,7 @@ def _cmd_symbols_counts(args) -> Outcome:
         text = json.dumps({str(d): c for d, c in counts.by_defect.items()}) + "\n"
         return 0, lambda out: out.write(text)
     records = [{"defect": d, "count": c} for d, c in counts.by_defect.items()]
-    return _records(records, args.format)
+    return _records(records, args.format, COUNT_COLUMNS)
 
 
 def _parse_fault(spec: str) -> Fault:
@@ -283,7 +314,7 @@ def _run(args) -> Outcome:
         count = partitions.bipartition_count(args.n)
         return 0, lambda out: print(count, file=out)
     if args.command == "table":
-        return _records(_table_records(args.max), args.format)
+        return _records(_table_records(args.max), args.format, TABLE_COLUMNS)
     if args.command == "symbols":
         if args.symbols_command == "enumerate":
             return _cmd_symbols_enumerate(args)

@@ -9,10 +9,11 @@ reduced member (the one without a 0 in both rows).
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from biparts.partitions import (
     Bipartition,
@@ -220,6 +221,18 @@ def is_special(symbol: Symbol) -> bool:
     return True
 
 
+def _row_halves(row: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (kept, moved) subsequences of ``row`` for each counter value
+    u < 2^len(row), whose bit i moves the entry i places from the right end."""
+    halves = [((), ())]
+    for entry in reversed(row):
+        # the new entry is the leftmost so far and takes the next bit
+        halves = [((entry, *kept), moved) for kept, moved in halves] + [
+            (kept, (entry, *moved)) for kept, moved in halves
+        ]
+    return halves
+
+
 @dataclass(frozen=True)
 class FamilyMember:
     """One symbol of a family: the moved subset and the resulting symbol."""
@@ -263,25 +276,24 @@ class SpecialSymbol:
         this returns.
         """
         refuse_past_cap(lambda k: 4**k, self.degree, "4^")
-        top, bottom = set(self.symbol.top), set(self.symbol.bottom)
-        entries = sorted(top | bottom, reverse=True)
-        singles = (self.singles.top + self.singles.bottom)[::-1]  # bit i moves singles[i]
+        common = tuple(set(self.symbol.top) & set(self.symbol.bottom))
+        # a member's top row keeps the common entries, the unmoved top
+        # singles and the moved bottom singles; its bottom row the rest
+        tops = _row_halves(self.singles.top)
+        bottoms = _row_halves(self.singles.bottom)
 
-        def member(v: int) -> FamilyMember:
-            moved = {s for i, s in enumerate(singles) if v >> i & 1}
-            # every row is a subsequence of a strictly decreasing one
+        def member(top_half, bottom_half) -> FamilyMember:
+            (kept_top, moved_top), (kept_bottom, moved_bottom) = top_half, bottom_half
             return FamilyMember(
+                Symbol._of(moved_top, moved_bottom),
                 Symbol._of(
-                    tuple([a for a in self.singles.top if a in moved]),
-                    tuple([b for b in self.singles.bottom if b in moved]),
-                ),
-                Symbol._of(
-                    tuple([e for e in entries if (e in top) != (e in moved)]),
-                    tuple([e for e in entries if (e in bottom) != (e in moved)]),
+                    tuple(sorted(common + kept_top + moved_bottom, reverse=True)),
+                    tuple(sorted(common + moved_top + kept_bottom, reverse=True)),
                 ),
             )
 
-        return map(member, range(4**self.degree))
+        # v = (top half << degree) | bottom half, so the bottom half runs fastest
+        return itertools.starmap(member, itertools.product(tops, bottoms))
 
     def family(self) -> list[FamilyMember]:
         """The members of :meth:`iter_family` as a list."""
@@ -339,3 +351,17 @@ def class_counts(n: int) -> ClassCounts:
         sums[m & 1] += count if m == 0 else 2 * count
     return ClassCounts(sums[0], sums[1], by_defect)
 
+
+def class_count_columns(p2: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The ``plus`` and ``minus`` of :func:`class_counts` for every rank
+    below ``len(p2)``, as two columns built from the prefix p2[0], p2[1], ...
+
+    Defect +-2m shifts 2 * p2 (p2 itself at m = 0) up by m^2 into the column
+    of m's parity, one slice pass per m.
+    """
+    columns = ([*p2], [0] * len(p2))
+    doubled = [2 * count for count in p2]
+    for m in range(1, math.isqrt(len(p2)) + 1):
+        column = columns[m & 1]
+        column[m * m :] = map(operator.add, column[m * m :], doubled)
+    return columns

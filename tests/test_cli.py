@@ -14,7 +14,16 @@ import tracemalloc
 import pytest
 
 from biparts import partitions, symbols, verify
-from biparts.cli import P_LIMIT, _write_records, main
+from biparts.cli import (
+    BLOCK,
+    CLASS_COLUMNS,
+    MEMBER_COLUMNS,
+    P_LIMIT,
+    TABLE_COLUMNS,
+    _class_record,
+    _write_records,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -49,34 +58,100 @@ def traced_peak(monkeypatch, *argv) -> int:
 
 
 RECORDS = {
-    "none": [],
-    "one": [{"n": 0, "p": 1}],
-    "mixed": [
-        {"symbol": "3,1;2,0", "special": True, "degree": 2, "note": 'a "quote"'},
-        {"symbol": "2;2", "special": False, "degree": None, "note": "Lusztig, étale ∞"},
-        {"symbol": "-;-", "special": True, "degree": 10**40, "note": ""},
-    ],
+    "none": ((), ("n", "p")),
+    "one": (({"n": 0, "p": 1},), ("n", "p")),
+    "mixed": (
+        (
+            {"symbol": "3,1;2,0", "special": True, "degree": 2, "note": 'a "quote"'},
+            {"symbol": "2;2", "special": False, "degree": None, "note": "Lusztig, étale ∞"},
+            {"symbol": "-;-", "special": True, "degree": 10**40, "note": ""},
+        ),
+        ("symbol", "special", "degree", "note"),
+    ),
+    # past one block, so the output leaves in more than one write
+    "blocks": (
+        tuple({"n": n, "text": "x" * 100} for n in range(2000)),
+        ("n", "text"),
+    ),
 }
 
 
-@pytest.mark.parametrize("records", RECORDS.values(), ids=RECORDS)
-def test_streamed_records_match_one_shot_rendering(records):
+@pytest.mark.parametrize("records, columns", RECORDS.values(), ids=RECORDS)
+def test_streamed_records_match_one_shot_rendering(records, columns):
     as_json, as_csv, one_shot_csv = io.StringIO(), io.StringIO(), io.StringIO()
-    _write_records(as_json, iter(records), "json")
-    _write_records(as_csv, iter(records), "csv")
-    if records:
-        writer = csv.DictWriter(one_shot_csv, list(records[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
-    assert as_json.getvalue() == json.dumps(records, indent=2) + "\n"
+    _write_records(as_json, iter(records), "json", columns)
+    _write_records(as_csv, iter(records), "csv", columns)
+    writer = csv.DictWriter(one_shot_csv, columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    assert as_json.getvalue() == json.dumps(list(records), indent=2) + "\n"
     assert as_csv.getvalue() == one_shot_csv.getvalue()
 
 
 def test_text_columns_are_as_wide_as_their_rendered_cells():
     # None renders as "-", so column a is one character wide, not four
     out = io.StringIO()
-    _write_records(out, iter([{"a": None, "b": 1}, {"a": None, "b": 22}]), "text")
+    _write_records(out, iter([{"a": None, "b": 1}, {"a": None, "b": 22}]), "text", ("a", "b"))
     assert out.getvalue() == "a  b\n-  1\n-  22\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        ("json", "[]\n"),
+        ("csv", "symbol,rank,defect,bipartition,special,degree\n"),
+        ("text", "symbol  rank  defect  bipartition  special  degree\n"),
+    ],
+)
+def test_empty_listing_prints_its_header(capsys, fmt, expected):
+    # defect -3 has odd parity: rank 1 has no class of it
+    code, out = run_cli(capsys, "symbols", "enumerate", "--rank", "1", "--defect", "-3", "--format", fmt)
+    assert code == 0
+    assert out == expected
+
+
+def test_record_keys_are_the_column_names(capsys):
+    cls = symbols.enumerate_classes(4, 0)[0]
+    assert tuple(_class_record(cls)) == CLASS_COLUMNS
+    for argv, columns in [
+        (("table", "--max", "3"), TABLE_COLUMNS),
+        (("symbols", "enumerate", "--rank", "4", "--defect", "2"), CLASS_COLUMNS),
+        (("symbols", "family", "--symbol", "3,1;2,0"), MEMBER_COLUMNS),
+    ]:
+        code, out = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        assert {tuple(record) for record in json.loads(out)} == {columns}, argv
+
+
+class _CountingWrites(_Discard):
+    """A text stream that counts its writes and the characters written."""
+
+    def __init__(self):
+        self.writes = 0
+        self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("symbols", "enumerate", "--rank", "22", "--defect", "2", "--format", "json"),
+        ("table", "--max", "6000", "--format", "csv"),
+    ],
+    ids=["enumerate-json", "table-csv"],
+)
+def test_records_leave_in_blocks(monkeypatch, argv):
+    # a stdout that flushes every write (PYTHONUNBUFFERED) sees one write per
+    # block, not one or two per record
+    out = _CountingWrites()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(list(argv)) == 0
+    assert out.chars > 4 * BLOCK
+    assert out.writes <= -(-out.chars // BLOCK) + 2
 
 
 class TestCounting:

@@ -20,6 +20,7 @@ from biparts.partitions import (
     EnumerationCapError,
     Partition,
     bipartition_count,
+    bipartition_counts_upto,
 )
 from biparts.report import Recorder
 from biparts.symbols import (
@@ -27,6 +28,7 @@ from biparts.symbols import (
     SpecialSymbol,
     Symbol,
     SymbolClass,
+    class_count_columns,
     class_counts,
     defect_offset,
     enumerate_classes,
@@ -366,6 +368,34 @@ class TestFamilies:
         member = SpecialSymbol(Symbol.parse("2;2")).family()[0]
         assert isinstance(member, FamilyMember)
 
+    def test_members_match_the_counter_construction(self):
+        # every special symbol of rank <= 14: the same members, in the same
+        # order, as moving the singles of counter value v one set at a time
+        def counter_members(z):
+            top, bottom = set(z.symbol.top), set(z.symbol.bottom)
+            entries = sorted(top | bottom, reverse=True)
+            singles = (z.singles.top + z.singles.bottom)[::-1]
+            for v in range(4**z.degree):
+                moved = {s for i, s in enumerate(singles) if v >> i & 1}
+                yield (
+                    tuple(a for a in z.singles.top if a in moved),
+                    tuple(b for b in z.singles.bottom if b in moved),
+                    tuple(e for e in entries if (e in top) != (e in moved)),
+                    tuple(e for e in entries if (e in bottom) != (e in moved)),
+                )
+
+        specials = 0
+        for n in range(15):
+            for cls in filter(is_special, enumerate_classes(n, 0)):
+                z = SpecialSymbol(cls)
+                members = [
+                    (m.subset.top, m.subset.bottom, m.symbol.top, m.symbol.bottom)
+                    for m in z.iter_family()
+                ]
+                assert members == list(counter_members(z)), str(cls)
+                specials += 1
+        assert specials == 1598
+
 
 def interleaved_special(degree: int) -> Symbol:
     """The special symbol 2d-1,...,3,1;2d-2,...,2,0, whose 2d entries are all singles."""
@@ -442,6 +472,14 @@ class TestClassCounts:
     def test_key_order(self):
         # `symbols counts` JSON lists the defects in this order
         assert list(class_counts(9).by_defect) == [0, 2, -2, 4, -4, 6, -6]
+
+    def test_columns_match_class_counts(self):
+        p2 = bipartition_counts_upto(2000)
+        plus, minus = class_count_columns(p2)
+        counts = [class_counts(n) for n in range(2001)]
+        assert plus == [c.plus for c in counts]
+        assert minus == [c.minus for c in counts]
+        assert class_count_columns(p2[:1]) == ([1], [0])
 
     def test_signed_sums_by_defect_mod_4(self):
         # every n up to 60, perfect squares among them, where the largest
