@@ -164,18 +164,21 @@ class CountCache:
         self._p2 = [1]
         self._p2conv = [1]
 
-    def _grow(self, table: list, n: int, fill: Callable[[int], None]) -> None:
-        """Run ``fill(max(n, len + len // 2))`` unless ``table`` already reaches n.
+    def _read(self, table: list, n: int, fill: Callable[[int], None]) -> int:
+        """``table[n]``, 0 for negative n, after ``fill(max(n, len + len // 2))``
+        if ``table`` does not reach n yet.
 
         A fill on a fresh table stops at n, and reads that walk n upward cost
         O(log n) fills; one read past a full table fills up to half again of
-        it.  Callers compare n with the length before they take the lock; it
+        it.  A read inside the table takes no lock; past its end the length
         is read again under the lock, where another filler may have grown it.
         """
-        with self._lock:
-            length = len(table)
-            if n >= length:
-                fill(max(n, length + length // 2))
+        if n >= len(table):
+            with self._lock:
+                length = len(table)
+                if n >= length:
+                    fill(max(n, length + length // 2))
+        return table[n] if n >= 0 else 0
 
     # the fills look kernels.extend_* up as they run, not once up front, so
     # a wrapper bound to those module attributes later (a tracer) sees them
@@ -192,19 +195,13 @@ class CountCache:
         kernels.extend_self_convolution(self._p2conv, self._p, upto)
 
     def partition_count(self, n: int) -> int:
-        if n >= len(self._p):
-            self._grow(self._p, n, self._fill_p)
-        return self._p[n] if n >= 0 else 0
+        return self._read(self._p, n, self._fill_p)
 
     def bipartition_count(self, n: int) -> int:
-        if n >= len(self._p2):
-            self._grow(self._p2, n, self._fill_p2)
-        return self._p2[n] if n >= 0 else 0
+        return self._read(self._p2, n, self._fill_p2)
 
     def bipartition_count_convolution(self, n: int) -> int:
-        if n >= len(self._p2conv):
-            self._grow(self._p2conv, n, self._fill_p2conv)
-        return self._p2conv[n] if n >= 0 else 0
+        return self._read(self._p2conv, n, self._fill_p2conv)
 
     def partition_prefix(self, upto: int) -> list:
         """Copy of the p table for indices 0..upto."""

@@ -65,12 +65,6 @@ class TruncatedSeries:
             self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
         )
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        _require_same_order(self.order, other.order)
-        return TruncatedSeries(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
     def __mul__(self, other):
         if isinstance(other, int):
             return TruncatedSeries(self.order, [other * a for a in self.coeffs])
@@ -81,9 +75,6 @@ class TruncatedSeries:
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries(self.order, [-a for a in self.coeffs])
 
     def inverse(self) -> "TruncatedSeries":
         """Multiplicative inverse; requires constant term +1 or -1."""

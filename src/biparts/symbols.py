@@ -12,8 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from biparts.partitions import (
     Bipartition,
@@ -233,8 +232,7 @@ def _row_halves(row: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, 
     return halves
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """One symbol of a family: the moved subset and the resulting symbol."""
 
     subset: Symbol
@@ -325,8 +323,7 @@ def parity_difference_binomial(degree: int) -> int:
     return even - odd
 
 
-@dataclass
-class ClassCounts:
+class ClassCounts(NamedTuple):
     """Class counts of one rank, split by defect residue mod 4."""
 
     plus: int
@@ -354,7 +351,8 @@ def class_counts(n: int) -> ClassCounts:
 
 def class_count_columns(p2: Sequence[int]) -> tuple[list[int], list[int]]:
     """The ``plus`` and ``minus`` of :func:`class_counts` for every rank
-    below ``len(p2)``, as two columns built from the prefix p2[0], p2[1], ...
+    below ``len(p2)``, as two columns built from any count prefix p2[0],
+    p2[1], ..., whichever route filled it.
 
     Defect +-2m shifts 2 * p2 (p2 itself at m = 0) up by m^2 into the column
     of m's parity, one slice pass per m.

@@ -426,25 +426,27 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
 
     The classes of defect +-2m of rank n are counted by p2(n - m^2), so the
     signed difference is sum_m (-1)^m c_m p2(n - m^2), with c_0 = 1 and
-    c_m = 2.  Up to ``bound`` it is summed over the convolution route, not
-    over the square recurrence that builds the p2 table from the same sum,
-    and compared with the p table; up to ``CLASS_ENUM_BOUND`` each defect's
-    count is re-verified by full class enumeration.
+    c_m = 2.  Up to ``bound`` it is taken from the class-count columns of the
+    convolution prefix, not from the p2 table that the square recurrence
+    builds from the same sum, and compared with the p table; up to
+    ``CLASS_ENUM_BOUND`` each defect's count is re-verified by full class
+    enumeration.
     """
     enum_bound = min(CLASS_ENUM_BOUND, bound)
     # one exact fill of each table to the bound it needs: the convolution
     # (and with it p) to the bound, p2 to the enumeration bound
     partitions.bipartition_count_convolution(bound)
     partitions.bipartition_count(enum_bound)
-    conv = [partitions.bipartition_count_convolution(n) for n in range(bound + 1)]
+    plus, minus = symbols.class_count_columns(
+        [partitions.bipartition_count_convolution(n) for n in range(bound + 1)]
+    )
     children = [
         recorder.compare(
             "corollary.recurrence",
             "signed class-count difference equals the degenerate count",
             bound,
             (
-                (n, 2 * sum((-1) ** m * conv[n - m * m] for m in range(isqrt(n) + 1)) - conv[n],
-                 partitions.degenerate_count(n))
+                (n, plus[n] - minus[n], partitions.degenerate_count(n))
                 for n in range(bound + 1)
             ),
         ),

@@ -377,6 +377,40 @@ class TestCountCache:
         assert results[0][4] == (20, 20)
         assert all(square == conv for square, conv in results[0])
 
+    def test_a_read_inside_a_table_takes_no_lock(self):
+        class LockTaken(Exception):
+            pass
+
+        class Refused:
+            def __enter__(self):
+                raise LockTaken
+
+            def __exit__(self, *exc_info):
+                return False
+
+        tables = {
+            "partition_count": "_p",
+            "bipartition_count": "_p2",
+            "bipartition_count_convolution": "_p2conv",
+        }
+        fresh = CountCache()
+        fresh._lock = Refused()
+        for read in tables:
+            assert [getattr(fresh, read)(n) for n in (-1, -2, -50)] == [0, 0, 0]
+        assert [len(getattr(fresh, table)) for table in tables.values()] == [1, 1, 1]
+
+        filled = CountCache()
+        filled.bipartition_count(49)
+        filled.bipartition_count_convolution(49)
+        expected = {read: [getattr(CountCache(), read)(n) for n in range(50)] for read in tables}
+        filled._lock = Refused()
+        for read, table in tables.items():
+            length = len(getattr(filled, table))
+            assert [getattr(filled, read)(n) for n in range(50)] == expected[read]
+            assert getattr(filled, read)(length - 1) == getattr(filled, table)[-1]
+            with pytest.raises(LockTaken):
+                getattr(filled, read)(length)
+
     @pytest.mark.parametrize(("kernel", "read"), GROWN_TABLES)
     def test_one_entry_requests_square_logarithmically_often(self, monkeypatch, kernel, read):
         # each table grows by half its length, not to the request

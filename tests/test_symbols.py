@@ -367,6 +367,7 @@ class TestFamilies:
     def test_member_type(self):
         member = SpecialSymbol(Symbol.parse("2;2")).family()[0]
         assert isinstance(member, FamilyMember)
+        assert member == (member.subset, member.symbol) == FamilyMember(*member)
 
     def test_members_match_the_counter_construction(self):
         # every special symbol of rank <= 14: the same members, in the same
@@ -469,6 +470,12 @@ class TestClassCounts:
         with pytest.raises(ValueError):
             class_counts(-1)
 
+    def test_counts_are_an_immutable_tuple(self):
+        counts = class_counts(4)
+        assert counts == (22, 20, counts.by_defect)
+        with pytest.raises(AttributeError):
+            counts.plus = 0
+
     def test_key_order(self):
         # `symbols counts` JSON lists the defects in this order
         assert list(class_counts(9).by_defect) == [0, 2, -2, 4, -4, 6, -6]
@@ -561,6 +568,30 @@ class TestChecks:
         assert not recurrence.passed
         assert recurrence.mismatch.location == (150,)
         assert recurrence.mismatch.lhs == recurrence.mismatch.rhs + 2
+
+    def test_recurrence_leaf_reads_the_convolution_table(self, monkeypatch):
+        cache = partitions.CountCache()
+        monkeypatch.setattr(partitions, "_CACHE", cache)
+        cache.bipartition_count(300)
+        cache.bipartition_count_convolution(300)
+        cache._p2conv[150] += 1
+        recurrence = check_class_count_difference(300, Recorder()).children[0]
+        assert recurrence.name == "corollary.recurrence"
+        assert not recurrence.passed
+        assert recurrence.mismatch.location == (150,)
+        assert recurrence.mismatch.lhs == recurrence.mismatch.rhs + 1
+
+    def test_recurrence_leaf_does_not_read_the_p2_table(self, monkeypatch):
+        # the square recurrence builds p2 from the same signed sum, so a
+        # leaf that read it would only restate that recurrence
+        cache = partitions.CountCache()
+        monkeypatch.setattr(partitions, "_CACHE", cache)
+        cache.bipartition_count(300)
+        cache.bipartition_count_convolution(300)
+        cache._p2[150] += 1
+        report = check_class_count_difference(300, Recorder())
+        assert report.children[0].name == "corollary.recurrence"
+        assert report.children[0].passed
 
     def test_broken_sign_symmetry_is_a_mismatch(self, monkeypatch):
         # one class lost at defect -2 of rank 5: reported, not raised
