@@ -102,7 +102,7 @@ def test_criterion_4_bijection_law():
 
 
 def test_criterion_5_parity_counts():
-    total = 0
+    total = members = 0
     for n in range(13):
         for cls in symbols.enumerate_classes(n, 0):
             if not symbols.is_special(cls):
@@ -111,18 +111,30 @@ def test_criterion_5_parity_counts():
             expected = 1 if data.degree == 0 else 0
             assert data.parity_difference() == expected
             assert symbols.parity_difference_binomial(data.degree) == expected
+            # the family's signed size: a member of defect d counts (-1)^(d/2)
+            signs = [1 if member.symbol.defect % 4 == 0 else -1 for member in data.iter_family()]
+            assert sum(signs) == expected
             total += 1
-    announce(5, f"signed subset counts agree with the binomial form for {total} specials")
+            members += len(signs)
+    announce(
+        5,
+        f"signed subset counts and signed family sizes agree with the binomial form "
+        f"for {total} specials ({members} members)",
+    )
 
 
 def test_criterion_6_signed_class_count_difference():
+    # plus - minus from the convolution prefix: the p2 table's difference
+    # equals p(n/2) by the square recurrence's definition, for any p table
+    plus, minus = symbols.class_count_columns(
+        [partitions.bipartition_count_convolution(n) for n in range(2001)]
+    )
     for n in range(2001):
-        counts = symbols.class_counts(n)
-        assert counts.plus - counts.minus == partitions.degenerate_count(n)
+        assert plus[n] - minus[n] == partitions.degenerate_count(n)
     for n in range(13):
         by_defect = symbols.class_counts(n).by_defect
         assert by_defect == {d: len(symbols.enumerate_classes(n, d)) for d in by_defect}
-    announce(6, "plus-minus class difference equals p(n/2) to 2000, re-enumerated to 12")
+    announce(6, "convolution plus-minus difference equals p(n/2) to 2000, re-enumerated to 12")
 
 
 def test_criterion_7_series_identities():

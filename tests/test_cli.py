@@ -598,36 +598,47 @@ def test_out_of_range_fault_exits_2_without_traceback():
     assert "outside firstproof.identity.lhs" in proc.stderr
 
 
-def test_closed_stdout_pipe_keeps_the_exit_code():
-    # the reader stops after 100 bytes, as ``| head -c 100`` does, while the
-    # command still has megabytes to write; stdout is block-buffered
+@pytest.fixture(params=[False, True], ids=["buffered", "unbuffered"])
+def child_env(request):
+    """A child's environment without and with PYTHONUNBUFFERED: its stdout is
+    block-buffered, or flushed at every write."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "biparts.cli", "symbols", "enumerate",
-         "--rank", "22", "--defect", "2", "--format", "json"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    assert proc.stdout.read(100).startswith(b"[\n  {\n")
+    return {**env, "PYTHONUNBUFFERED": "1"} if request.param else env
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("symbols", "enumerate", "--rank", "22", "--defect", "2", "--format", "json"),
+        ("table", "--max", "6000", "--format", "csv"),
+        ("table", "--max", "3000", "--format", "json"),
+        ("symbols", "family", "--symbol", "7,5,3,1;6,4,2,0", "--format", "json"),
+    ],
+    ids=["enumerate-json", "table-csv", "table-json", "family-json"],
+)
+def test_closed_stdout_pipe_keeps_the_exit_code(command, child_env):
+    # the reader stops after 100 bytes, as ``| head -c 100`` does, while the
+    # command may still have megabytes to write
+    argv = [sys.executable, "-m", "biparts.cli", *command]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env)
+    assert len(proc.stdout.read(100)) == 100
     proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 0
-    assert err == b""
+    assert proc.communicate(timeout=60)[1] == b""
+    assert proc.returncode == 0
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize(
     "command",
     [
-        ("p2", "4"),
+        ("p2", "300"),
         ("table", "--max", "50", "--format", "csv"),
         ("verify", "euler", "--max", "5"),
+        ("symbols", "enumerate", "--rank", "22", "--defect", "2", "--format", "json"),
     ],
-    ids=["p2", "table-csv", "verify"],
+    ids=["p2", "table-csv", "verify", "enumerate-json"],
 )
-def test_full_stdout_is_usage_error(command):
+def test_full_stdout_is_usage_error(command, child_env):
     # every write to /dev/full fails with ENOSPC, at the write or the flush
     with open("/dev/full", "w") as full:
         proc = subprocess.run(
@@ -635,12 +646,71 @@ def test_full_stdout_is_usage_error(command):
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
+            env=child_env,
         )
     err = proc.stderr.splitlines()
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
     assert len(err) == 2 and err[0].startswith("usage:"), err
     assert err[1] == "biparts: error: cannot write stdout: No space left on device"
+
+
+#: Each command line with the exit code it must give; ``{tmp}`` is a
+#: directory of the test module's own.
+DEV_MODE_RUNS = {
+    "p 1000": 0,
+    "p2 300": 0,
+    "table --max 50 --format csv --out {tmp}/t.csv": 0,
+    "symbols enumerate --rank 6 --defect 2 --format csv": 0,
+    "symbols family --symbol 3,1;2,0 --format json --out {tmp}/f.json": 0,
+    "verify all --max 12": 0,
+    "verify euler --inject-fault euler.lhs:3": 1,
+    "symbols counts --rank 6 --format csv": 0,
+    "symbols counts --rank 6 --format text": 0,
+    "symbols family --symbol 7,5,3,1;6,4,2,0 --format csv": 0,
+    "verify euler --max 10 --inject-fault euler.lhs:3 --format json": 1,
+    "verify thm1 --max 25 --inject-fault thm1.enumeration.rhs:5": 1,
+    "verify thm1 --max 25 --inject-fault thm1.degenerate.rhs:4": 1,
+    "verify families --max 8 --inject-fault families.n3.lhs:3": 1,
+    "verify corollary --max 200 --inject-fault corollary.recurrence.lhs:150": 1,
+    "verify corollary": 0,
+    "symbols counts --rank 4 --format text": 0,
+}
+
+#: Runs each argv of the JSON list ``sys.argv[1]`` through ``cli.main`` and
+#: prints each exit code and stderr as JSON; collecting after each run
+#: charges a leaked handle's ResourceWarning to the argv that leaked it.
+DEV_MODE_DRIVER = """
+import contextlib, gc, io, json, sys
+from biparts import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        gc.collect()
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def dev_mode_results(tmp_path_factory):
+    # one ``python -X dev -W error`` process for the whole list: any warning
+    # is an error, and an unclosed file is reported on stderr
+    tmp = tmp_path_factory.mktemp("dev-mode")
+    argvs = [[arg.format(tmp=tmp) for arg in line.split()] for line in DEV_MODE_RUNS]
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-c", DEV_MODE_DRIVER, json.dumps(argvs)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return dict(zip(DEV_MODE_RUNS, json.loads(proc.stdout)))
+
+
+@pytest.mark.parametrize("line, expected", DEV_MODE_RUNS.items(), ids=list(DEV_MODE_RUNS))
+def test_dev_mode_keeps_exit_code_and_stderr_clean(dev_mode_results, line, expected):
+    assert dev_mode_results[line] == [expected, ""]
 
 
 def test_entry_point_subprocess():

@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 
 from biparts import kernels
 
-# a single parameter, so the test ids keep their ``[python]`` suffix
-KERNELS = [pytest.param(kernels, id="python")]
-
 
 def naive_partition_counts(upto: int) -> list[int]:
     """Coin-change style DP, independent of the pentagonal recurrence."""
@@ -112,112 +109,102 @@ def sequential_tables():
     return p, p2
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("upto", ONE_SHOT_SIZES)
-def test_blocked_one_shot_fill_matches_sequential(impl, upto, sequential_tables):
+def test_blocked_one_shot_fill_matches_sequential(upto, sequential_tables):
     p_ref, p2_ref = sequential_tables
     p = [1]
-    impl.extend_partition_table(p, upto)
+    kernels.extend_partition_table(p, upto)
     assert p == p_ref[: upto + 1]
     p2 = [1]
-    impl.extend_bipartition_table(p2, p, upto)
+    kernels.extend_bipartition_table(p2, p, upto)
     assert p2 == p2_ref[: upto + 1]
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_blocked_uneven_growth_matches_sequential(impl, sequential_tables):
+def test_blocked_uneven_growth_matches_sequential(sequential_tables):
     p_ref, p2_ref = sequential_tables
     p, p2 = [1], [1]
     upto = 0
     for step in GROWTH_STEPS:
         upto += step
-        impl.extend_partition_table(p, upto)
-        impl.extend_bipartition_table(p2, p, upto)
+        kernels.extend_partition_table(p, upto)
+        kernels.extend_bipartition_table(p2, p, upto)
         assert p == p_ref[: upto + 1]
         assert p2 == p2_ref[: upto + 1]
     # p2 by the convolution route over the same grown table
     conv = []
-    impl.extend_self_convolution(conv, p, 3 * B + 7)
+    kernels.extend_self_convolution(conv, p, 3 * B + 7)
     assert conv == p2_ref[: 3 * B + 8]
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_partition_table_matches_dp_oracle(impl):
+def test_partition_table_matches_dp_oracle():
     table = [1]
-    impl.extend_partition_table(table, 60)
+    kernels.extend_partition_table(table, 60)
     assert table == naive_partition_counts(60)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_bipartition_table_matches_convolution(impl):
+def test_bipartition_table_matches_convolution():
     ptable = [1]
-    impl.extend_partition_table(ptable, 120)
+    kernels.extend_partition_table(ptable, 120)
     p2 = [1]
-    impl.extend_bipartition_table(p2, ptable, 120)
+    kernels.extend_bipartition_table(p2, ptable, 120)
     assert p2 == naive_convolution(ptable, ptable, 120)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_self_convolution_matches_naive(impl):
+def test_self_convolution_matches_naive():
     src = [1]
-    impl.extend_partition_table(src, 50)
+    kernels.extend_partition_table(src, 50)
     reference = naive_convolution(src, src, 50)
     out = []
-    impl.extend_self_convolution(out, src, 50)
+    kernels.extend_self_convolution(out, src, 50)
     assert out == reference
     # a non-empty table grown in uneven steps keeps its prefix and extends it
     out = [1]
     for upto in (1, 2, 9, 10, 33, 50):
-        impl.extend_self_convolution(out, src, upto)
+        kernels.extend_self_convolution(out, src, upto)
         assert out == reference[: upto + 1]
     # a bound already covered leaves the table as it is
-    impl.extend_self_convolution(out, src, 20)
+    kernels.extend_self_convolution(out, src, 20)
     assert out == reference
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_self_convolution_refuses_short_source(impl):
+def test_self_convolution_refuses_short_source():
     out = [1, 2]
     with pytest.raises(ValueError, match="needs 6 source entries, got 3"):
-        impl.extend_self_convolution(out, [1, 1, 2], 5)
+        kernels.extend_self_convolution(out, [1, 1, 2], 5)
     assert out == [1, 2]
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @given(
     a=st.lists(st.integers(-9, 9), min_size=13, max_size=13),
     b=st.lists(st.integers(-9, 9), min_size=13, max_size=13),
 )
 @settings(max_examples=60)
-def test_mul_series_matches_naive(impl, a, b):
-    assert impl.mul_series(a, b, 12) == naive_convolution(a, b, 12)
+def test_mul_series_matches_naive(a, b):
+    assert kernels.mul_series(a, b, 12) == naive_convolution(a, b, 12)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @given(
     a=st.lists(st.integers(-9, 9), min_size=13, max_size=13),
     unit=st.sampled_from([1, -1]),
 )
 @settings(max_examples=60)
-def test_invert_series_is_inverse(impl, a, unit):
+def test_invert_series_is_inverse(a, unit):
     a[0] = unit
-    inv = impl.invert_series(a, 12)
-    product = impl.mul_series(a, inv, 12)
+    inv = kernels.invert_series(a, 12)
+    product = kernels.mul_series(a, inv, 12)
     assert product == [1] + [0] * 12
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_invert_series_rejects_nonunit(impl):
+def test_invert_series_rejects_nonunit():
     with pytest.raises(ValueError):
-        impl.invert_series([2, 1, 1], 2)
+        kernels.invert_series([2, 1, 1], 2)
     with pytest.raises(ValueError):
-        impl.invert_series([0, 1, 1], 2)
+        kernels.invert_series([0, 1, 1], 2)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_fold_binomial(impl):
+def test_fold_binomial():
     vec = [1, 1, 1, 1, 1]
-    impl.fold_binomial(vec, 2)
+    kernels.fold_binomial(vec, 2)
     # (1+q+q^2+q^3+q^4)(1-q^2) truncated
     assert vec == [1, 1, 0, 0, 0]
 
@@ -243,41 +230,37 @@ MUL_CASES = {
 }
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("case", MUL_CASES.values(), ids=list(MUL_CASES))
-def test_mul_series_matches_schoolbook(impl, case):
+def test_mul_series_matches_schoolbook(case):
     a, b, order = case
-    assert impl.mul_series(a, b, order) == naive_convolution(a, b, order)
-    assert impl.mul_series(b, a, order) == naive_convolution(b, a, order)
+    assert kernels.mul_series(a, b, order) == naive_convolution(a, b, order)
+    assert kernels.mul_series(b, a, order) == naive_convolution(b, a, order)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("unit", [1, -1])
 @pytest.mark.parametrize("order", [0, 1, 2, 3, 7, 8, 63, 64, 65, 200])
-def test_invert_series_matches_schoolbook(impl, unit, order):
+def test_invert_series_matches_schoolbook(unit, order):
     for bits in (3, 200):
         a = mixed_coefficients(order + bits, order + 4, bits)
         a[0] = unit
-        assert impl.invert_series(a, order) == schoolbook_invert_series(a, order)
+        assert kernels.invert_series(a, order) == schoolbook_invert_series(a, order)
 
 
-@pytest.mark.parametrize("impl", KERNELS)
-def test_invert_series_of_products(impl):
+def test_invert_series_of_products():
     # 1/prod(1-q^k) is the partition series, 1/(1-q)^2 has coefficients n+1
     euler = [1] + [0] * 150
     for k in range(1, 151):
         loop_fold_binomial(euler, k)
-    assert impl.invert_series(euler, 150) == naive_partition_counts(150)
-    assert impl.invert_series([1, -2, 1], 40) == list(range(1, 42))
+    assert kernels.invert_series(euler, 150) == naive_partition_counts(150)
+    assert kernels.invert_series([1, -2, 1], 40) == list(range(1, 42))
 
 
-@pytest.mark.parametrize("impl", KERNELS)
 @pytest.mark.parametrize("length", [0, 1, 2, 9])
-def test_fold_binomial_matches_loop(impl, length):
+def test_fold_binomial_matches_loop(length):
     base = mixed_coefficients(length, length, 70)
     for j in sorted({0, 1, max(length - 1, 0), length, length + 3}):
         vec, expected = list(base), list(base)
-        impl.fold_binomial(vec, j)
+        kernels.fold_binomial(vec, j)
         loop_fold_binomial(expected, j)
         assert vec == expected, j
 
