@@ -25,7 +25,6 @@ from biparts.series import (
     theta_alternating,
 )
 from biparts.symbols import (
-    ClassCounts,
     FamilyMember,
     SpecialSymbol,
     Symbol,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Bipartition",
     "BivariateSeries",
-    "ClassCounts",
     "CountCache",
     "EnumerationCapError",
     "FamilyMember",

@@ -260,9 +260,9 @@ def _cmd_symbols_family(args) -> Outcome:
 def _cmd_symbols_counts(args) -> Outcome:
     counts = symbols.class_counts(args.rank)
     if args.format == "json":
-        text = json.dumps({str(d): c for d, c in counts.by_defect.items()}) + "\n"
+        text = json.dumps({str(d): c for d, c in counts.items()}) + "\n"
         return 0, lambda out: out.write(text)
-    records = [{"defect": d, "count": c} for d, c in counts.by_defect.items()]
+    records = [{"defect": d, "count": c} for d, c in counts.items()]
     return _records(records, args.format, COUNT_COLUMNS)
 
 

@@ -297,62 +297,30 @@ class SpecialSymbol:
         """The members of :meth:`iter_family` as a list."""
         return list(self.iter_family())
 
-    def parity_difference(self) -> int:
-        """(# even-size subsets of the singles) - (# odd-size subsets),
-        by direct enumeration of the counter values of :meth:`iter_family`:
-        the subset of value v has v.bit_count() entries.
-
-        Refuses with :class:`EnumerationCapError`, as :meth:`family` does,
-        when 4^degree exceeds the enumeration cap.
-        """
-        refuse_past_cap(lambda k: 4**k, self.degree, "4^")
-        count = 1 << (2 * self.degree)
-        odd = sum(v.bit_count() & 1 for v in range(count))
-        return count - 2 * odd
-
     def __repr__(self) -> str:
         return f"SpecialSymbol({self.symbol!r})"
 
 
-def parity_difference_binomial(degree: int) -> int:
-    """The same signed subset count via binomial coefficients:
-    sum_{k even} C(2*degree, k) - sum_{k odd} C(2*degree, k)."""
-    n = 2 * degree
-    even = sum(math.comb(n, k) for k in range(0, n + 1, 2))
-    odd = sum(math.comb(n, k) for k in range(1, n + 1, 2))
-    return even - odd
-
-
-class ClassCounts(NamedTuple):
-    """Class counts of one rank, split by defect residue mod 4."""
-
-    plus: int
-    minus: int
-    by_defect: dict[int, int]
-
-
-def class_counts(n: int) -> ClassCounts:
+def class_counts(n: int) -> dict[int, int]:
     """Counts of rank-n classes over all even defects, from the p2 table.
 
-    ``by_defect`` is keyed by the defects in the order 0, 2, -2, 4, -4, ...
-    and reads the table once per pair +-d: the classes of defect d = 2m
-    have the bipartitions of n - m^2 as images.  ``plus`` collects defects
-    = 0 (mod 4), ``minus`` defects = 2 (mod 4), in the same pass.
+    Keyed by the defects in the order 0, 2, -2, 4, -4, ..., reading the
+    table once per pair +-d: the classes of defect d = 2m have the
+    bipartitions of n - m^2 as images.
     """
     if n < 0:
         raise ValueError("rank must be nonnegative")
     by_defect: dict[int, int] = {}
-    sums = [0, 0]  # plus at even m, minus at odd m
     for m in range(math.isqrt(n) + 1):
-        count = by_defect[2 * m] = by_defect[-2 * m] = bipartition_count(n - m * m)
-        sums[m & 1] += count if m == 0 else 2 * count
-    return ClassCounts(sums[0], sums[1], by_defect)
+        by_defect[2 * m] = by_defect[-2 * m] = bipartition_count(n - m * m)
+    return by_defect
 
 
 def class_count_columns(p2: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The ``plus`` and ``minus`` of :func:`class_counts` for every rank
-    below ``len(p2)``, as two columns built from any count prefix p2[0],
-    p2[1], ..., whichever route filled it.
+    """The class counts of every rank below ``len(p2)`` summed over the
+    defects = 0 (mod 4) and = 2 (mod 4), phi_plus and phi_minus, as two
+    columns built from any count prefix p2[0], p2[1], ..., whichever route
+    filled it.
 
     Defect +-2m shifts 2 * p2 (p2 itself at m = 0) up by m^2 into the column
     of m's parity, one slice pass per m.

@@ -457,7 +457,7 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
             (
                 (n, count, len(symbols.enumerate_classes(n, d)))
                 for n in range(enum_bound + 1)
-                for d, count in symbols.class_counts(n).by_defect.items()
+                for d, count in symbols.class_counts(n).items()
             ),
         ),
     ]
@@ -484,7 +484,7 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     for n in range(bound + 1):
         zero = symbols.enumerate_classes(n, 0)
         classes = set(zero).union(
-            *(symbols.enumerate_classes(n, d) for d in symbols.class_counts(n).by_defect if d)
+            *(symbols.enumerate_classes(n, d) for d in symbols.class_counts(n) if d)
         )
         specials = map(symbols.SpecialSymbol, filter(symbols.is_special, zero))
         children.append(

@@ -193,12 +193,12 @@ class TestTable:
         rows = json.loads(out)
         for row in rows:
             n = row["n"]
-            counts = symbols.class_counts(n)
+            by_defect = symbols.class_counts(n)
             assert row["p"] == partitions.partition_count(n)
             assert row["p2"] == partitions.bipartition_count(n)
             assert row["p_half"] == partitions.degenerate_count(n)
-            assert row["phi_plus"] == counts.plus
-            assert row["phi_minus"] == counts.minus
+            assert row["phi_plus"] == sum(c for d, c in by_defect.items() if d % 4 == 0)
+            assert row["phi_minus"] == sum(c for d, c in by_defect.items() if d % 4 == 2)
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "table.csv"
@@ -612,7 +612,7 @@ def child_env(request):
         ("symbols", "enumerate", "--rank", "22", "--defect", "2", "--format", "json"),
         ("table", "--max", "6000", "--format", "csv"),
         ("table", "--max", "3000", "--format", "json"),
-        ("symbols", "family", "--symbol", "7,5,3,1;6,4,2,0", "--format", "json"),
+        ("symbols", "family", "--symbol", "11,9,7,5,3,1;10,8,6,4,2,0", "--format", "json"),
     ],
     ids=["enumerate-json", "table-csv", "table-json", "family-json"],
 )

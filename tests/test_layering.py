@@ -58,3 +58,16 @@ def test_only_verify_compares_and_combines():
         if path.name != "report.py"
     }
     assert {name for name, calls in callers.items() if calls} == {"verify.py"}
+
+
+def test_export_list_matches_the_imports():
+    import biparts
+
+    assert [name for name in biparts.__all__ if not hasattr(biparts, name)] == []
+    imported = {
+        alias.asname or alias.name
+        for node in parse(SRC / "__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert {name for name in imported if not name.startswith("_")} <= set(biparts.__all__)

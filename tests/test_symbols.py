@@ -35,7 +35,6 @@ from biparts.symbols import (
     from_bipartition,
     is_special,
     iter_classes,
-    parity_difference_binomial,
     to_bipartition,
 )
 from biparts.verify import check_class_count_difference, check_family_partition
@@ -403,100 +402,101 @@ def interleaved_special(degree: int) -> Symbol:
     return Symbol(tuple(range(2 * degree - 1, 0, -2)), tuple(range(2 * degree - 2, -1, -2)))
 
 
+def signed_member_sum(z: SpecialSymbol) -> int:
+    """The sum of (-1)^(d/2) over the members of ``z``'s family, d being the
+    member's defect."""
+    return sum(1 if m.symbol.defect % 4 == 0 else -1 for m in z.iter_family())
+
+
+def class_count_sums(n: int) -> tuple[int, int]:
+    """phi_plus and phi_minus of rank n, summed from the by-defect counts
+    over the defects = 0 and = 2 (mod 4)."""
+    by_defect = class_counts(n)
+    plus = sum(c for d, c in by_defect.items() if d % 4 == 0)
+    minus = sum(c for d, c in by_defect.items() if d % 4 == 2)
+    return plus, minus
+
+
 class TestParity:
     def test_degree_zero(self):
-        assert SpecialSymbol(Symbol.parse("2;2")).parity_difference() == 1
+        assert signed_member_sum(SpecialSymbol(Symbol.parse("2;2"))) == 1
 
     def test_degree_one(self):
-        assert SpecialSymbol(Symbol.parse("4,1;1,0")).parity_difference() == 0
+        assert signed_member_sum(SpecialSymbol(Symbol.parse("4,1;1,0"))) == 0
 
     def test_degree_two(self):
-        assert SpecialSymbol(Symbol.parse("3,1;2,0")).parity_difference() == 0
+        assert signed_member_sum(SpecialSymbol(Symbol.parse("3,1;2,0"))) == 0
 
     def test_subset_size_is_counter_bit_count(self):
-        # parity_difference reads each subset's size off its counter value
+        # the subset of counter value v holds the singles of v's set bits
         members = SpecialSymbol(interleaved_special(3)).family()
         sizes = [len(m.subset.top) + len(m.subset.bottom) for m in members]
         assert sizes == [v.bit_count() for v in range(4**3)]
 
     @pytest.mark.parametrize("degree, refused", [(11, False), (12, True), (13, True)])
     def test_enumeration_refuses_past_cap(self, degree, refused):
-        # 4^11 is under the cap and enumerated in full, 4^12 over it
+        # 4^11 is under the cap, 4^12 over it; the 4^11 members are not made
         data = SpecialSymbol(interleaved_special(degree))
         assert data.degree == degree
         if refused:
             with pytest.raises(EnumerationCapError):
-                data.parity_difference()
+                data.iter_family()
         else:
-            assert data.parity_difference() == 0
+            assert next(data.iter_family()).symbol == data.symbol
 
     def test_enumeration_at_lowered_cap(self, monkeypatch):
         monkeypatch.setattr(partitions, "ENUMERATION_CAP", 4**3)
-        assert SpecialSymbol(interleaved_special(3)).parity_difference() == 0
+        assert signed_member_sum(SpecialSymbol(interleaved_special(3))) == 0
         with pytest.raises(EnumerationCapError):
-            SpecialSymbol(interleaved_special(4)).parity_difference()
-
-    @pytest.mark.parametrize("degree", range(7))
-    def test_binomial_closed_form(self, degree):
-        assert parity_difference_binomial(degree) == (1 if degree == 0 else 0)
+            SpecialSymbol(interleaved_special(4)).iter_family()
 
     @given(special_strategy())
     @settings(max_examples=40)
-    def test_enumeration_agrees_with_binomial(self, z):
+    def test_signed_member_sum_is_degree_zero_indicator(self, z):
         data = SpecialSymbol(z)
-        assert data.parity_difference() == parity_difference_binomial(data.degree)
+        assert signed_member_sum(data) == (1 if data.degree == 0 else 0)
 
 
 class TestClassCounts:
     def test_rank4(self):
-        counts = class_counts(4)
-        assert counts.by_defect == {0: 20, 2: 10, -2: 10, 4: 1, -4: 1}
-        assert counts.plus == 22
-        assert counts.minus == 20
-        assert counts.plus - counts.minus == 2
+        assert class_counts(4) == {0: 20, 2: 10, -2: 10, 4: 1, -4: 1}
+        plus, minus = class_count_columns(bipartition_counts_upto(4))
+        assert plus[4] == 22
+        assert minus[4] == 20
+        assert plus[4] - minus[4] == 2
 
     def test_rank0_and_rank1(self):
-        assert class_counts(0).plus == 1
-        assert class_counts(0).minus == 0
-        one = class_counts(1)
-        assert one.plus - one.minus == 0
+        plus, minus = class_count_columns(bipartition_counts_upto(1))
+        assert plus[0] == 1
+        assert minus[0] == 0
+        assert plus[1] - minus[1] == 0
 
     def test_enumeration_mode_agrees(self):
         for n in range(7):
-            by_defect = class_counts(n).by_defect
+            by_defect = class_counts(n)
             assert by_defect == {d: len(enumerate_classes(n, d)) for d in by_defect}
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             class_counts(-1)
 
-    def test_counts_are_an_immutable_tuple(self):
-        counts = class_counts(4)
-        assert counts == (22, 20, counts.by_defect)
-        with pytest.raises(AttributeError):
-            counts.plus = 0
-
     def test_key_order(self):
         # `symbols counts` JSON lists the defects in this order
-        assert list(class_counts(9).by_defect) == [0, 2, -2, 4, -4, 6, -6]
+        assert list(class_counts(9)) == [0, 2, -2, 4, -4, 6, -6]
 
     def test_columns_match_class_counts(self):
         p2 = bipartition_counts_upto(2000)
-        plus, minus = class_count_columns(p2)
-        counts = [class_counts(n) for n in range(2001)]
-        assert plus == [c.plus for c in counts]
-        assert minus == [c.minus for c in counts]
+        assert list(zip(*class_count_columns(p2))) == [class_count_sums(n) for n in range(2001)]
         assert class_count_columns(p2[:1]) == ([1], [0])
 
     def test_signed_sums_by_defect_mod_4(self):
         # every n up to 60, perfect squares among them, where the largest
-        # defect d has d^2/4 = n exactly
+        # defect d has d^2/4 = n exactly; the prefix ends at n
+        p2 = bipartition_counts_upto(60)
         for n in range(61):
-            counts = class_counts(n)
-            by_defect = counts.by_defect
-            assert counts.plus == sum(c for d, c in by_defect.items() if d % 4 == 0)
-            assert counts.minus == sum(c for d, c in by_defect.items() if d % 4 == 2)
-            top = max(by_defect) // 2
+            plus, minus = class_count_columns(p2[: n + 1])
+            assert (plus[n], minus[n]) == class_count_sums(n)
+            top = max(class_counts(n)) // 2
             assert top * top <= n < (top + 1) * (top + 1)
 
 
