@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -449,6 +451,18 @@ class TestParity:
         assert signed_member_sum(SpecialSymbol(interleaved_special(3))) == 0
         with pytest.raises(EnumerationCapError):
             SpecialSymbol(interleaved_special(4)).iter_family()
+
+    @pytest.mark.parametrize("degree", range(7))
+    def test_binomial_closed_form(self, degree):
+        # the 2d singles give sum_k (-1)^k C(2d, k) = [d = 0] signed subsets;
+        # the members' defect signs and subset sizes both follow it
+        closed_form = sum((-1) ** k * math.comb(2 * degree, k) for k in range(2 * degree + 1))
+        assert closed_form == (1 if degree == 0 else 0)
+        data = SpecialSymbol(interleaved_special(degree))
+        assert data.degree == degree
+        sizes = [len(m.subset.top) + len(m.subset.bottom) for m in data.iter_family()]
+        assert sum((-1) ** size for size in sizes) == closed_form
+        assert signed_member_sum(data) == closed_form
 
     @given(special_strategy())
     @settings(max_examples=40)
