@@ -2,6 +2,10 @@
 verification harness.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error.
+
+Each command imports the modules it runs when it runs, so a fresh process
+loads only those: ``p`` the Rademacher series, ``p2`` the count tables,
+``table`` and ``symbols`` the tables and the symbols, ``verify`` everything.
 """
 
 from __future__ import annotations
@@ -14,11 +18,24 @@ import os
 import sys
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
-from biparts import partitions, rademacher, symbols, verify
 from biparts.partitions import EnumerationCapError
 from biparts.report import Fault, FaultError, Recorder
 
 FORMATS = ("text", "json", "csv")
+
+#: The names of ``verify.CHECKS``, in its order, for the ``verify`` parser
+#: without importing ``verify``; a test holds the two equal.
+CHECK_NAMES = (
+    "euler",
+    "thm1",
+    "lemma22",
+    "jacobi",
+    "firstproof",
+    "families",
+    "corollary",
+    "appendix",
+    "congruence",
+)
 
 #: Largest N that ``biparts p N`` accepts; p(P_LIMIT) by the Rademacher
 #: series takes about a minute on a 2-CPU host.
@@ -89,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "exists to prove that the harness reports failures.  A fault that is "
         "malformed, out of range or never fires is a usage error.",
     )
-    verify_cmd.add_argument("what", choices=["all", *verify.CHECKS])
+    verify_cmd.add_argument("what", choices=["all", *CHECK_NAMES])
     verify_cmd.add_argument(
         "--max",
         type=_nonnegative,
@@ -206,6 +223,8 @@ COUNT_COLUMNS = ("defect", "count")
 
 
 def _table_records(bound: int) -> Iterator[dict]:
+    from biparts import partitions, symbols
+
     # one exact fill of each table: the rows walk n upward, and each read
     # past a table's end would grow it by half, past the bound
     p = partitions.partition_counts_upto(bound)
@@ -222,25 +241,32 @@ def _table_records(bound: int) -> Iterator[dict]:
         }
 
 
-def _class_record(cls: symbols.SymbolClass) -> dict:
-    special = symbols.is_special(cls)
-    return {
-        "symbol": str(cls),
-        "rank": cls.rank,
-        "defect": cls.defect,
-        "bipartition": str(symbols.to_bipartition(cls)),
-        "special": special,
-        "degree": symbols.SpecialSymbol(cls).degree if special else None,
-    }
+def _class_records(classes: Iterable) -> Iterator[dict]:
+    from biparts import symbols
+
+    for cls in classes:
+        special = symbols.is_special(cls)
+        yield {
+            "symbol": str(cls),
+            "rank": cls.rank,
+            "defect": cls.defect,
+            "bipartition": str(symbols.to_bipartition(cls)),
+            "special": special,
+            "degree": symbols.SpecialSymbol(cls).degree if special else None,
+        }
 
 
 def _cmd_symbols_enumerate(args) -> Outcome:
+    from biparts import symbols
+
     # iter_classes refuses past the cap before anything is written
     classes = symbols.iter_classes(args.rank, args.defect)
-    return _records(map(_class_record, classes), args.format, CLASS_COLUMNS)
+    return _records(_class_records(classes), args.format, CLASS_COLUMNS)
 
 
 def _cmd_symbols_family(args) -> Outcome:
+    from biparts import symbols
+
     try:
         base = symbols.SpecialSymbol(symbols.Symbol.parse(args.symbol))
     except ValueError as exc:
@@ -258,6 +284,8 @@ def _cmd_symbols_family(args) -> Outcome:
 
 
 def _cmd_symbols_counts(args) -> Outcome:
+    from biparts import symbols
+
     counts = symbols.class_counts(args.rank)
     if args.format == "json":
         text = json.dumps({str(d): c for d, c in counts.items()}) + "\n"
@@ -280,6 +308,8 @@ def _parse_fault(spec: str) -> Fault:
 
 
 def _cmd_verify(args) -> Outcome:
+    from biparts import verify
+
     recorder = Recorder(_parse_fault(args.inject_fault) if args.inject_fault else None)
     if args.what == "all":
         reports = verify.run_all(args.max, recorder)
@@ -308,9 +338,13 @@ def _run(args) -> Outcome:
         # Decimal prints any int exactly and leaves that global limit alone
         from decimal import Decimal
 
+        from biparts import rademacher
+
         count = Decimal(rademacher.partition_count(args.n))
         return 0, lambda out: print(count, file=out)
     if args.command == "p2":
+        from biparts import partitions
+
         count = partitions.bipartition_count(args.n)
         return 0, lambda out: print(count, file=out)
     if args.command == "table":

@@ -12,12 +12,10 @@ injected fault, so the harness can prove that it reports failures.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple
 
 
-@dataclass
-class Mismatch:
+class Mismatch(NamedTuple):
     """First point where two supposedly equal objects differ."""
 
     location: tuple[int, ...]
@@ -36,17 +34,26 @@ class Mismatch:
         return f"first mismatch at {where}: {self.lhs} != {self.rhs}"
 
 
-@dataclass
 class CheckReport:
     """Outcome of one verification, possibly aggregating sub-checks."""
 
-    name: str
-    bound: int
-    passed: bool
-    mismatch: Mismatch | None = None
-    elapsed: float = 0.0
-    children: list["CheckReport"] = field(default_factory=list)
-    note: str = ""
+    def __init__(
+        self,
+        name: str,
+        bound: int,
+        passed: bool,
+        mismatch: Mismatch | None = None,
+        elapsed: float = 0.0,
+        children: list[CheckReport] | None = None,
+        note: str = "",
+    ):
+        self.name = name
+        self.bound = bound
+        self.passed = passed
+        self.mismatch = mismatch
+        self.elapsed = elapsed
+        self.children = [] if children is None else children
+        self.note = note
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent

@@ -519,6 +519,7 @@ def _family_triples(
     yield n, total - len(classes), total
 
 
+# a dataclass so that dataclasses.replace can swap ``run`` (perfbench's tracer does)
 @dataclass(frozen=True)
 class Check:
     run: Callable[[int, Recorder], CheckReport]

@@ -20,7 +20,8 @@ from biparts.cli import (
     MEMBER_COLUMNS,
     P_LIMIT,
     TABLE_COLUMNS,
-    _class_record,
+    _build_parser,
+    _class_records,
     _write_records,
     main,
 )
@@ -112,7 +113,7 @@ def test_empty_listing_prints_its_header(capsys, fmt, expected):
 
 def test_record_keys_are_the_column_names(capsys):
     cls = symbols.enumerate_classes(4, 0)[0]
-    assert tuple(_class_record(cls)) == CLASS_COLUMNS
+    assert tuple(next(_class_records([cls]))) == CLASS_COLUMNS
     for argv, columns in [
         (("table", "--max", "3"), TABLE_COLUMNS),
         (("symbols", "enumerate", "--rank", "4", "--defect", "2"), CLASS_COLUMNS),
@@ -363,6 +364,12 @@ class TestVerify:
 
     def test_unknown_check_rejected(self):
         run_cli_expect_usage_error("verify", "nonsense")
+
+    def test_parser_offers_every_check(self):
+        # the parser holds the names itself, so that it need not import verify
+        commands = next(a for a in _build_parser()._actions if a.dest == "command")
+        what = next(a for a in commands.choices["verify"]._actions if a.dest == "what")
+        assert what.choices == ["all", *verify.CHECKS]
 
     def test_enumeration_cap_is_usage_error(self):
         # p(200) is far beyond the enumeration cap; refusing beats thrashing

@@ -1,8 +1,12 @@
-"""The layers import downward, and every verification check lives in verify."""
+"""The layers import downward, every verification check lives in verify, and
+each command loads only the modules it runs."""
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -60,14 +64,57 @@ def test_only_verify_compares_and_combines():
     assert {name for name, calls in callers.items() if calls} == {"verify.py"}
 
 
+def loaded_modules(code: str, *argv: str) -> list[str]:
+    """The ``biparts*`` and ``dataclasses`` modules a fresh process has
+    loaded after running ``code`` with arguments ``argv``."""
+    probe = "\nprint(*sorted(m for m in sys.modules if m.startswith(('biparts', 'dataclasses'))))"
+    argv = [sys.executable, "-c", f"import sys\n{code}{probe}", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+    return proc.stdout.split()
+
+
 def test_export_list_matches_the_imports():
     import biparts
 
-    assert [name for name in biparts.__all__ if not hasattr(biparts, name)] == []
-    imported = {
-        alias.asname or alias.name
-        for node in parse(SRC / "__init__.py").body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert {name for name in imported if not name.startswith("_")} <= set(biparts.__all__)
+    assert set(biparts._EXPORTS) == set(biparts.__all__) - {"__version__"}
+    for name, (module, attribute) in biparts._EXPORTS.items():
+        assert getattr(biparts, name) is getattr(import_module(f"biparts.{module}"), attribute), name
+    with pytest.raises(AttributeError, match="no_such_name"):
+        biparts.no_such_name
+    # the names load lazily: the package alone imports no submodule, and its
+    # dir() lists every name before any is loaded
+    assert loaded_modules("import biparts\nassert {*biparts.__all__} <= {*dir(biparts)}") == ["biparts"]
+
+
+#: Runs ``cli.main`` on the command line in ``sys.argv[1:]``, if any, with
+#: its output discarded.
+STARTUP_DRIVER = """
+import contextlib, io
+from biparts import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+"""
+
+#: The verify harness, the series engine and dataclasses (which imports
+#: inspect, ast, dis and tokenize) are loaded only by the commands that run them.
+HEAVY = {"biparts.verify", "biparts.series", "dataclasses"}
+
+#: command line -> (modules it must load, modules it must not load)
+STARTUP = {
+    "": ({"biparts.cli"}, HEAVY | {"biparts.symbols"}),
+    "p 5": ({"biparts.rademacher"}, HEAVY | {"biparts.symbols"}),
+    "p2 5": ({"biparts.partitions"}, HEAVY | {"biparts.symbols", "biparts.rademacher"}),
+    "table --max 3": ({"biparts.symbols"}, HEAVY | {"biparts.rademacher"}),
+    "symbols enumerate --rank 4 --defect 2": ({"biparts.symbols"}, HEAVY | {"biparts.rademacher"}),
+    "verify euler --max 3": ({"biparts.verify", "biparts.series"}, set()),
+}
+
+
+@pytest.mark.parametrize(("line", "expected"), STARTUP.items(), ids=[line or "import" for line in STARTUP])
+def test_command_loads_only_what_it_runs(line, expected):
+    must, must_not = expected
+    loaded = set(loaded_modules(STARTUP_DRIVER, *line.split()))
+    assert must <= loaded
+    assert loaded & must_not == set()
