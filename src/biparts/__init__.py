@@ -60,37 +60,7 @@ _EXPORTS = {
 }
 _EXPORTS["partition_count_rademacher"] = ("rademacher", "partition_count")
 
-__all__ = [
-    "Bipartition",
-    "BivariateSeries",
-    "CountCache",
-    "EnumerationCapError",
-    "FamilyMember",
-    "OrderMismatchError",
-    "Partition",
-    "SpecialSymbol",
-    "Symbol",
-    "SymbolClass",
-    "TruncatedSeries",
-    "bipartition_count",
-    "bipartition_count_convolution",
-    "class_counts",
-    "count_distinct_parts",
-    "count_odd_parts",
-    "degenerate_count",
-    "enumerate_bipartitions",
-    "enumerate_classes",
-    "enumerate_partitions",
-    "from_bipartition",
-    "is_special",
-    "partition_count",
-    "partition_count_rademacher",
-    "product_series",
-    "rogers_ramanujan_c",
-    "theta_alternating",
-    "to_bipartition",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name: str):

@@ -179,21 +179,21 @@ class _Blocks:
 
 
 def _write_records(
-    out: TextIO, records: Iterable[dict], fmt: str, columns: Sequence[str]
+    out: TextIO, records: Iterable[tuple], fmt: str, columns: Sequence[str]
 ) -> None:
-    """Records whose keys are ``columns`` -> JSON list, CSV rows or text
-    table; None renders as null, empty or ``-``.
+    """Tuples of values in the order of ``columns`` -> JSON objects keyed by
+    ``columns``, CSV rows or text table; None renders as null, empty or ``-``.
 
     JSON and CSV are rendered one record at a time, byte for byte as
-    ``json.dumps(list(records), indent=2) + "\n"`` and as ``csv.writer`` rows
-    of each record's values under a header of ``columns``, and leave in
+    ``json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n"``
+    and as ``csv.writer`` rows under a header of ``columns``, and leave in
     blocks of at least :data:`BLOCK` characters.  The text table renders
     each cell once and holds every rendered row, because each column but
     the last is padded to its widest rendered cell.  An empty listing is
     ``[]`` in JSON and the header line alone in CSV and text.
     """
     if fmt == "text":
-        rows = [list(columns), *(["-" if v is None else str(v) for v in r.values()] for r in records)]
+        rows = [list(columns), *(["-" if v is None else str(v) for v in r] for r in records)]
         widths = [max(map(len, column)) for column in zip(*rows)]
         widths[-1] = 0  # no line ends in padding
         out.write("\n".join("  ".join(map(str.ljust, row, widths)) for row in rows) + "\n")
@@ -202,27 +202,29 @@ def _write_records(
     if fmt == "csv":
         writer = csv.writer(blocks, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(map(dict.values, records))
+        writer.writerows(records)
     else:
         opening, closing = "[\n  {\n    ", "[]\n"
         for record in records:
-            blocks.write(opening + _encode_record(record)[1:-1])
+            blocks.write(opening + _encode_record(dict(zip(columns, record)))[1:-1])
             opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
         blocks.write(closing)
     blocks.flush()
 
 
-def _records(records: Iterable[dict], fmt: str, columns: Sequence[str]) -> Outcome:
+def _records(records: Iterable[tuple], fmt: str, columns: Sequence[str]) -> Outcome:
     return 0, lambda out: _write_records(out, records, fmt, columns)
 
 
+#: Each listing's header: its records are tuples of values in this order,
+#: and its JSON objects are keyed by these names.
 TABLE_COLUMNS = ("n", "p", "p2", "p_half", "phi_plus", "phi_minus")
 CLASS_COLUMNS = ("symbol", "rank", "defect", "bipartition", "special", "degree")
 MEMBER_COLUMNS = ("subset", "symbol", "defect")
 COUNT_COLUMNS = ("defect", "count")
 
 
-def _table_records(bound: int) -> Iterator[dict]:
+def _table_records(bound: int) -> Iterator[tuple]:
     from biparts import partitions, symbols
 
     # one exact fill of each table: the rows walk n upward, and each read
@@ -231,29 +233,16 @@ def _table_records(bound: int) -> Iterator[dict]:
     p2 = partitions.bipartition_counts_upto(bound)
     phi_plus, phi_minus = symbols.class_count_columns(p2)
     for n in range(bound + 1):
-        yield {
-            "n": n,
-            "p": p[n],
-            "p2": p2[n],
-            "p_half": partitions.degenerate_count(n),
-            "phi_plus": phi_plus[n],
-            "phi_minus": phi_minus[n],
-        }
+        yield n, p[n], p2[n], partitions.degenerate_count(n), phi_plus[n], phi_minus[n]
 
 
-def _class_records(classes: Iterable) -> Iterator[dict]:
+def _class_records(classes: Iterable) -> Iterator[tuple]:
     from biparts import symbols
 
     for cls in classes:
         special = symbols.is_special(cls)
-        yield {
-            "symbol": str(cls),
-            "rank": cls.rank,
-            "defect": cls.defect,
-            "bipartition": str(symbols.to_bipartition(cls)),
-            "special": special,
-            "degree": symbols.SpecialSymbol(cls).degree if special else None,
-        }
+        degree = symbols.SpecialSymbol(cls).degree if special else None
+        yield str(cls), cls.rank, cls.defect, str(symbols.to_bipartition(cls)), special, degree
 
 
 def _cmd_symbols_enumerate(args) -> Outcome:
@@ -271,15 +260,8 @@ def _cmd_symbols_family(args) -> Outcome:
         base = symbols.SpecialSymbol(symbols.Symbol.parse(args.symbol))
     except ValueError as exc:
         raise argparse.ArgumentError(None, str(exc))
-    members = base.iter_family()  # refuses past the cap before anything is written
-    records = (
-        {
-            "subset": str(member.subset),
-            "symbol": str(member.symbol),
-            "defect": member.symbol.defect,
-        }
-        for member in members
-    )
+    # iter_family refuses past the cap before anything is written
+    records = ((str(m.subset), str(m.symbol), m.symbol.defect) for m in base.iter_family())
     return _records(records, args.format, MEMBER_COLUMNS)
 
 
@@ -290,8 +272,7 @@ def _cmd_symbols_counts(args) -> Outcome:
     if args.format == "json":
         text = json.dumps({str(d): c for d, c in counts.items()}) + "\n"
         return 0, lambda out: out.write(text)
-    records = [{"defect": d, "count": c} for d, c in counts.items()]
-    return _records(records, args.format, COUNT_COLUMNS)
+    return _records(counts.items(), args.format, COUNT_COLUMNS)
 
 
 def _parse_fault(spec: str) -> Fault:

@@ -110,6 +110,8 @@ class Bipartition:
     __slots__ = ("top", "bottom")
 
     def __init__(self, top: Partition, bottom: Partition):
+        if not (isinstance(top, Partition) and isinstance(bottom, Partition)):
+            raise ValueError(f"rows must be partitions: {top!r}, {bottom!r}")
         self.top = top
         self.bottom = bottom
 

@@ -73,6 +73,8 @@ class Symbol:
 
     def shift(self, steps: int = 1) -> "Symbol":
         """Apply the rank/defect-preserving shift ``steps`` times."""
+        if steps < 0:
+            raise ValueError("shift steps must be nonnegative")
         top, bottom = self.top, self.bottom
         for _ in range(steps):
             top = tuple(a + 1 for a in top) + (0,)
@@ -136,6 +138,11 @@ class SymbolClass(Symbol):
     def __init__(self, symbol: Symbol):
         reduced = symbol.reduced()
         self.top, self.bottom = reduced.top, reduced.bottom
+
+    @staticmethod
+    def parse(text: str) -> "SymbolClass":
+        """The class of the symbol :meth:`Symbol.parse` reads from ``text``."""
+        return SymbolClass(Symbol.parse(text))
 
 
 def _staircase_strip(row: tuple[int, ...]) -> Partition:
@@ -240,19 +247,20 @@ class FamilyMember(NamedTuple):
 
 
 class SpecialSymbol:
-    """A special symbol together with its singles and degree.
+    """A special symbol together with its common entries, singles and degree.
 
-    The singles are the entries appearing in exactly one row; moving any
-    subset of them to the other row generates the family.
+    The common entries appear in both rows, the singles in exactly one;
+    moving any subset of the singles to the other row generates the family.
     """
 
-    __slots__ = ("symbol", "singles", "degree")
+    __slots__ = ("symbol", "common", "singles", "degree")
 
     def __init__(self, symbol: Symbol):
         if not is_special(symbol):
             raise ValueError(f"symbol {symbol} is not special")
         common = set(symbol.top) & set(symbol.bottom)
         self.symbol = symbol
+        self.common = tuple(common)
         self.singles = Symbol._of(
             tuple([a for a in symbol.top if a not in common]),
             tuple([b for b in symbol.bottom if b not in common]),
@@ -274,7 +282,7 @@ class SpecialSymbol:
         this returns.
         """
         refuse_past_cap(lambda k: 4**k, self.degree, "4^")
-        common = tuple(set(self.symbol.top) & set(self.symbol.bottom))
+        common = self.common
         # a member's top row keeps the common entries, the unmoved top
         # singles and the moved bottom singles; its bottom row the rest
         tops = _row_halves(self.singles.top)

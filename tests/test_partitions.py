@@ -111,6 +111,12 @@ class TestBipartitionType:
         with pytest.raises(ValueError):
             Bipartition.parse("2,1")
 
+    def test_rows_must_be_partitions(self):
+        with pytest.raises(ValueError, match="partitions"):
+            Bipartition((1,), ())
+        with pytest.raises(ValueError, match="partitions"):
+            Bipartition(Partition([1]), "1")
+
     def test_weight_sums_rows(self):
         b = Bipartition(Partition([2, 1]), Partition([3]))
         assert b.weight == 6

@@ -132,6 +132,12 @@ class TestSymbolBasics:
         assert reduced.is_reduced
         assert s.shift(steps).reduced() == reduced
 
+    def test_shift_refuses_negative_steps(self):
+        s = Symbol.parse("2,0;1")
+        assert s.shift(0) == s
+        with pytest.raises(ValueError, match="nonnegative"):
+            s.shift(-2)
+
     def test_reduce_examples(self):
         # only one row containing 0 blocks reduction
         s = Symbol.parse("4,1;1,0")
@@ -166,7 +172,13 @@ class TestBijection:
         assert len({cls, s, SymbolClass(s)}) == 1
         assert (cls.rank, cls.defect) == (s.rank, s.defect)
         assert repr(cls) == "SymbolClass([3, 1], [2, 0])"
-        assert SymbolClass.parse("4,2,0;3,1,0") == Symbol.parse("4,2,0;3,1,0")
+
+    def test_class_parse_gives_the_reduced_class(self):
+        cls = SymbolClass.parse("4,2,0;3,1,0")
+        assert type(cls) is SymbolClass
+        assert (cls.top, cls.bottom) == ((3, 1), (2, 0))
+        with pytest.raises(ValueError):
+            SymbolClass.parse("3,1")
 
     def test_reduced_symbol_is_returned_as_it_is(self):
         s = Symbol.parse("3,1;2,0")
@@ -309,6 +321,8 @@ class TestSpecials:
         assert str(data.singles) == "3,1;2,0" and data.degree == 2
         data = SpecialSymbol(Symbol.parse("2,1;2,1"))
         assert str(data.singles) == "-;-" and data.degree == 0
+        assert sorted(data.common) == [1, 2]
+        assert SpecialSymbol(Symbol.parse("4,1;1,0")).common == (1,)
 
     @given(special_strategy())
     @settings(max_examples=80)
