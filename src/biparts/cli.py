@@ -227,8 +227,6 @@ COUNT_COLUMNS = ("defect", "count")
 def _table_records(bound: int) -> Iterator[tuple]:
     from biparts import partitions, symbols
 
-    # one exact fill of each table: the rows walk n upward, and each read
-    # past a table's end would grow it by half, past the bound
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
     phi_plus, phi_minus = symbols.class_count_columns(p2)

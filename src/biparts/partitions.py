@@ -215,6 +215,11 @@ class CountCache:
         self.bipartition_count(upto)
         return self._p2[: max(upto + 1, 0)]
 
+    def convolution_prefix(self, upto: int) -> list:
+        """Copy of the convolution table for indices 0..upto."""
+        self.bipartition_count_convolution(upto)
+        return self._p2conv[: max(upto + 1, 0)]
+
 
 _CACHE = CountCache()
 
@@ -251,6 +256,11 @@ def partition_counts_upto(n: int) -> list:
 def bipartition_counts_upto(n: int) -> list:
     """The list [p2(0), ..., p2(n)]."""
     return _CACHE.bipartition_prefix(n)
+
+
+def bipartition_counts_convolution_upto(n: int) -> list:
+    """The list [p2(0), ..., p2(n)], by the convolution route."""
+    return _CACHE.convolution_prefix(n)
 
 
 def _partition_tuples(n: int) -> Iterator[tuple[int, ...]]:

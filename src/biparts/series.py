@@ -201,66 +201,69 @@ def theta_alternating(order: int) -> TruncatedSeries:
 
 class BivariateSeries:
     """Series in q to a fixed order whose coefficients are integer Laurent
-    polynomials in a second variable z (sparse, exponents of either sign)."""
+    polynomials in a second variable z.
 
-    __slots__ = ("order", "rows")
+    ``columns`` maps each power of z, of either sign, to its dense list of
+    ``order + 1`` q-coefficients.  Shorter lists are padded, longer ones
+    refused, and all-zero columns dropped, so equal series hold equal dicts.
+    """
 
-    def __init__(self, order: int, rows: Sequence[dict] | None = None):
+    __slots__ = ("order", "columns")
+
+    def __init__(self, order: int, columns: dict):
         if order < 0:
             raise ValueError("order must be nonnegative")
+        size = order + 1
+        if any(len(c) > size for c in columns.values()):
+            raise ValueError(f"a column has more coefficients than order {order} allows")
         self.order = order
-        cleaned: list[dict] = []
-        rows = rows or []
-        if len(rows) > order + 1:
-            raise ValueError("more coefficient rows than the order allows")
-        for row in rows:
-            cleaned.append({z: c for z, c in row.items() if c})
-        while len(cleaned) <= order:
-            cleaned.append({})
-        self.rows = cleaned
+        self.columns = {z: c + [0] * (size - len(c)) for z, c in columns.items() if any(c)}
 
     @classmethod
     def one(cls, order: int) -> "BivariateSeries":
-        return cls.from_terms(order, [(0, 0, 1)])
+        return cls(order, {0: [1]})
 
     @classmethod
     def from_terms(
         cls, order: int, terms: Iterable[tuple[int, int, int]]
     ) -> "BivariateSeries":
         """Build from (q_exponent, z_exponent, coefficient) triples."""
-        rows: list[dict] = [dict() for _ in range(order + 1)]
+        columns: dict = {}
         for q_exp, z_exp, coeff in terms:
             if not 0 <= q_exp <= order:
                 raise ValueError(f"q exponent {q_exp} outside 0..{order}")
-            rows[q_exp][z_exp] = rows[q_exp].get(z_exp, 0) + coeff
-        return cls(order, rows)
+            columns.setdefault(z_exp, [0] * (order + 1))[q_exp] += coeff
+        return cls(order, columns)
+
+    @property
+    def rows(self) -> list[dict]:
+        """The {z: coefficient} dict of each power of q, zeros left out; kept
+        because perfbench's ``tracer._bivariate_terms`` counts terms by it."""
+        return [
+            {z: column[q] for z, column in self.columns.items() if column[q]}
+            for q in range(self.order + 1)
+        ]
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BivariateSeries)
             and self.order == other.order
-            and self.rows == other.rows
+            and self.columns == other.columns
         )
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
+        """One :func:`kernels.mul_series` per pair of columns za, zb, summed by za + zb."""
         _require_same_order(self.order, other.order)
-        rows: list[dict] = [dict() for _ in range(self.order + 1)]
-        rows_b = [(j, row_b) for j, row_b in enumerate(other.rows) if row_b]
-        for i, row_a in enumerate(self.rows):
-            if not row_a:
-                continue
-            for j, row_b in rows_b:
-                if i + j > self.order:
-                    break
-                target = rows[i + j]
-                for za, ca in row_a.items():
-                    for zb, cb in row_b.items():
-                        z = za + zb
-                        target[z] = target.get(z, 0) + ca * cb
-        return BivariateSeries(self.order, rows)
+        columns: dict = {}
+        for za, a in self.columns.items():
+            for zb, b in other.columns.items():
+                product = kernels.mul_series(a, b, self.order)
+                z = za + zb
+                columns[z] = list(map(add, columns[z], product)) if z in columns else product
+        return BivariateSeries(self.order, columns)
 
     def __repr__(self) -> str:
-        count = sum(len(row) for row in self.rows)
+        count = sum(c != 0 for column in self.columns.values() for c in column)
         return f"BivariateSeries(order={self.order}, terms={count})"
 
 
@@ -299,9 +302,7 @@ def triple_product_series(order: int) -> BivariateSeries:
         if k <= order:
             for column in columns.values():
                 kernels.fold_binomial(column, k)
-    return BivariateSeries.from_terms(
-        order, ((q, z, c) for z, column in columns.items() for q, c in enumerate(column))
-    )
+    return BivariateSeries(order, columns)
 
 
 #: Factors of R(q) = (q^2;q^5)(q^3;q^5) / ((q;q^5)(q^4;q^5)).

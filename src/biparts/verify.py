@@ -52,22 +52,13 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     """Square-recurrence counts against convolution and enumeration."""
     enum_bound = min(bound, BIPARTITION_ENUM_BOUND)
     partitions.refuse_past_cap(partitions.bipartition_count, enum_bound, "p2")
-    # fill both tables exactly to the bound: the reads below walk n upward,
-    # and each read past a table's end would grow it by half
-    partitions.bipartition_count_convolution(bound)
-    partitions.bipartition_count(bound)
+    conv = partitions.bipartition_counts_convolution_upto(bound)
+    p2 = partitions.bipartition_counts_upto(bound)
     convolution = recorder.compare(
         "thm1.convolution",
         "square recurrence equals the convolution of the partition table",
         bound,
-        (
-            (
-                n,
-                partitions.bipartition_count(n),
-                partitions.bipartition_count_convolution(n),
-            )
-            for n in range(bound + 1)
-        ),
+        zip(range(bound + 1), p2, conv),
     )
     # the enumeration pass runs before the next leaf, so its time is
     # thm1.enumeration's
@@ -110,17 +101,19 @@ def compare_bivariate(
 ) -> CheckReport:
     """Comparison by q, then z, located by ``q^q z^z``.
 
-    Every row is compared over the same z span, from the lowest to the
+    Every power of q is compared over the same z span, from the lowest to the
     highest power of z anywhere on either side, so a coefficient that is 0
     on both sides is tappable as long as its z lies in that span.
     """
     series._require_same_order(lhs.order, rhs.order)
-    zs = set().union(*lhs.rows, *rhs.rows)
+    zs = lhs.columns.keys() | rhs.columns.keys()
     span = range(min(zs, default=0), max(zs, default=-1) + 1)
+    zero = [0] * (lhs.order + 1)
+    columns = [(z, lhs.columns.get(z, zero), rhs.columns.get(z, zero)) for z in span]
     pairs = (
-        ((q, z), row_a.get(z, 0), row_b.get(z, 0))
-        for q, (row_a, row_b) in enumerate(zip(lhs.rows, rhs.rows))
-        for z in span
+        ((q, z), column_a[q], column_b[q])
+        for q in range(lhs.order + 1)
+        for z, column_a, column_b in columns
     )
     return recorder.compare(check_id, title, lhs.order, pairs, kind="q,z")
 
@@ -387,8 +380,6 @@ def check_mod5_congruences(bound: int, recorder: Recorder) -> CheckReport:
     """Residue check on the tables: p2(m) = 0 mod 5 whenever m = 2,3,4 mod 5,
     and p(5n+4) = 0 mod 5; and p(bound) from the table against the
     Rademacher series."""
-    # one exact fill of each table: the reads below walk m upward, and each
-    # read past a table's end would grow it by half, past the bound
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
     children = [
@@ -433,13 +424,9 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
     enumeration.
     """
     enum_bound = min(CLASS_ENUM_BOUND, bound)
-    # one exact fill of each table to the bound it needs: the convolution
-    # (and with it p) to the bound, p2 to the enumeration bound
-    partitions.bipartition_count_convolution(bound)
+    conv = partitions.bipartition_counts_convolution_upto(bound)
+    plus, minus = symbols.class_count_columns(conv)
     partitions.bipartition_count(enum_bound)
-    plus, minus = symbols.class_count_columns(
-        [partitions.bipartition_count_convolution(n) for n in range(bound + 1)]
-    )
     children = [
         recorder.compare(
             "corollary.recurrence",

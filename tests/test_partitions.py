@@ -348,6 +348,7 @@ class TestCountCache:
         # 2*(p0 p10 + p1 p9 + p2 p8 + p3 p7 + p4 p6) + p5^2, convolution by hand
         assert cache.bipartition_count(10) == 481
         assert cache.partition_prefix(5) == [1, 1, 2, 3, 5, 7]
+        assert cache.convolution_prefix(10) == cache.bipartition_prefix(10)
 
     def test_negative_reads_are_zero_on_a_filled_cache(self):
         # after a fill, list indexing would wrap -1 round to the last entry
@@ -361,6 +362,7 @@ class TestCountCache:
         assert cache.partition_prefix(-1) == []
         assert cache.partition_prefix(-3) == []
         assert cache.bipartition_prefix(-3) == []
+        assert cache.convolution_prefix(-3) == []
 
     def test_concurrent_fillers_agree(self):
         cache = CountCache()
@@ -466,3 +468,9 @@ class TestCountCache:
         monkeypatch.setattr(partitions, "_CACHE", CountCache())
         assert verify.run_check(check, bound, Recorder()).passed
         assert (p_fills, p2_fills) == lengths
+
+    def test_verify_all_reads_no_table_past_its_bound(self, monkeypatch):
+        cache = CountCache()
+        monkeypatch.setattr(partitions, "_CACHE", cache)
+        assert all(report.passed for report in verify.run_all(300, Recorder()))
+        assert [len(cache._p), len(cache._p2), len(cache._p2conv)] == [301, 301, 301]

@@ -293,21 +293,82 @@ class TestTheta:
         assert sum(abs(c) for c in th.coeffs) == 1 + 2 * math.isqrt(order)
 
 
+def sparse_product(a: BivariateSeries, b: BivariateSeries) -> BivariateSeries:
+    """The sparse row product that ``BivariateSeries.__mul__`` replaced:
+    every pair of nonzero terms, rows i + j up to the order, z powers added."""
+    rows: list[dict] = [dict() for _ in range(a.order + 1)]
+    rows_b = [(j, row_b) for j, row_b in enumerate(b.rows) if row_b]
+    for i, row_a in enumerate(a.rows):
+        if not row_a:
+            continue
+        for j, row_b in rows_b:
+            if i + j > a.order:
+                break
+            target = rows[i + j]
+            for za, ca in row_a.items():
+                for zb, cb in row_b.items():
+                    z = za + zb
+                    target[z] = target.get(z, 0) + ca * cb
+    return BivariateSeries.from_terms(
+        a.order, ((q, z, c) for q, row in enumerate(rows) for z, c in row.items())
+    )
+
+
+def random_bivariate(rng: random.Random, order: int) -> BivariateSeries:
+    """Up to 2 order + 3 signed terms at powers of z from -4 to 4."""
+    count = rng.randint(0, 2 * order + 3)
+    return BivariateSeries.from_terms(
+        order,
+        [(rng.randint(0, order), rng.randint(-4, 4), rng.randint(-9, 9)) for _ in range(count)],
+    )
+
+
 class TestBivariate:
     def test_rows_drop_zeros(self):
-        s = BivariateSeries(2, [{0: 1, 3: 0}, {}, {-1: 2}])
+        # zero columns are dropped and short ones padded, so equal series
+        # hold equal dicts
+        column = [0, 0, 2]
+        s = BivariateSeries(2, {0: [1], 3: [0, 0], -1: column})
+        assert s.columns == {0: [1, 0, 0], -1: [0, 0, 2]}
         assert s.rows == [{0: 1}, {}, {-1: 2}]
-        assert BivariateSeries(3, [{0: 1}]).rows == [{0: 1}, {}, {}, {}]
+        assert s == BivariateSeries.from_terms(2, [(0, 0, 1), (2, -1, 2), (1, 5, 0)])
+        column[2] = 7
+        assert s.columns[-1] == [0, 0, 2]
+        assert BivariateSeries(3, {0: [1]}).rows == [{0: 1}, {}, {}, {}]
+        assert repr(s) == "BivariateSeries(order=2, terms=2)"
 
     def test_construction_validates(self):
-        with pytest.raises(ValueError):
-            BivariateSeries(-1)
-        with pytest.raises(ValueError):
-            BivariateSeries(1, [{}, {}, {}])
+        with pytest.raises(ValueError, match="nonnegative"):
+            BivariateSeries(-1, {})
+        with pytest.raises(ValueError, match="order 1"):
+            BivariateSeries(1, {0: [1], -2: [0, 0, 0]})
         with pytest.raises(ValueError):
             BivariateSeries.from_terms(2, [(3, 0, 1)])
         with pytest.raises(ValueError):
             BivariateSeries.from_terms(2, [(-1, 0, 1)])
+
+    @pytest.mark.parametrize("order", range(21))
+    def test_mul_matches_sparse_product(self, order):
+        rng = random.Random(order)
+        for _ in range(6):
+            a, b = random_bivariate(rng, order), random_bivariate(rng, order)
+            assert a * b == sparse_product(a, b)
+            assert b * a == sparse_product(a, b)
+
+    @pytest.mark.parametrize("order", range(21))
+    def test_square_takes_the_squaring_path(self, monkeypatch, order):
+        squares = []
+        mul = kernels.mul_series
+
+        def spy(a, b, order):
+            squares.append(a is b)
+            return mul(a, b, order)
+
+        monkeypatch.setattr(kernels, "mul_series", spy)
+        a = random_bivariate(random.Random(100 + order), order)
+        assert a * a == sparse_product(a, a)
+        # one squaring per column: each pairs with itself once
+        assert squares.count(True) == len(a.columns)
 
     def test_mul(self):
         # (1 + z q) * (1 + z^-1) = 1 + z^-1 + z q + q
