@@ -115,6 +115,15 @@ class Bipartition:
         self.top = top
         self.bottom = bottom
 
+    @classmethod
+    def _of(cls, top: Partition, bottom: Partition) -> "Bipartition":
+        """The bipartition of two partitions its caller built; nothing is
+        checked, so only generators use it."""
+        self = object.__new__(cls)
+        self.top = top
+        self.bottom = bottom
+        return self
+
     @property
     def weight(self) -> int:
         return self.top.weight + self.bottom.weight
@@ -328,7 +337,7 @@ def iter_bipartitions(n: int) -> Iterator[Bipartition]:
         bottoms = list(iter_partitions(n - a))
         for top in iter_partitions(a):
             for bottom in bottoms:
-                yield Bipartition(top, bottom)
+                yield Bipartition._of(top, bottom)
 
 
 def enumerate_bipartitions(n: int) -> list[Bipartition]:

@@ -146,9 +146,10 @@ class SymbolClass(Symbol):
 
 
 def _staircase_strip(row: tuple[int, ...]) -> Partition:
-    parts = map(operator.sub, row, range(len(row) - 1, -1, -1))
-    # a strictly decreasing row less the staircase is weakly decreasing
-    return Partition._of(tuple([p for p in parts if p > 0]))
+    parts = tuple(map(operator.sub, row, range(len(row) - 1, -1, -1)))
+    # a strictly decreasing row less the staircase is weakly decreasing and
+    # nonnegative, so its zeros are a suffix
+    return Partition._of(parts[: len(parts) - parts.count(0)])
 
 
 def to_bipartition(symbol: Symbol) -> Bipartition:
@@ -157,7 +158,7 @@ def to_bipartition(symbol: Symbol) -> Bipartition:
     Constant on similarity classes; the image of a rank-n, defect-d class is
     a bipartition of n - floor((d/2)^2).
     """
-    return Bipartition(_staircase_strip(symbol.top), _staircase_strip(symbol.bottom))
+    return Bipartition._of(_staircase_strip(symbol.top), _staircase_strip(symbol.bottom))
 
 
 def from_bipartition(bipartition: Bipartition, defect: int = 0) -> SymbolClass:
@@ -258,6 +259,17 @@ class SpecialSymbol:
     def __init__(self, symbol: Symbol):
         if not is_special(symbol):
             raise ValueError(f"symbol {symbol} is not special")
+        self._split(symbol)
+
+    @classmethod
+    def _of(cls, symbol: Symbol) -> "SpecialSymbol":
+        """The special symbol of ``symbol``, which its caller has found
+        special by :func:`is_special`; nothing is checked again."""
+        self = object.__new__(cls)
+        self._split(symbol)
+        return self
+
+    def _split(self, symbol: Symbol) -> None:
         common = set(symbol.top) & set(symbol.bottom)
         self.symbol = symbol
         self.common = tuple(common)

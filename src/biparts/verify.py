@@ -473,7 +473,7 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
         classes = set(zero).union(
             *(symbols.enumerate_classes(n, d) for d in symbols.class_counts(n) if d)
         )
-        specials = map(symbols.SpecialSymbol, filter(symbols.is_special, zero))
+        specials = map(symbols.SpecialSymbol._of, filter(symbols.is_special, zero))
         children.append(
             recorder.compare(
                 f"families.n{n}",
@@ -497,11 +497,12 @@ def _family_triples(
     for special in specials:
         family = special.family()
         size_total += len(family)
-        yield n, len({member.symbol for member in family}), 4**special.degree
-        # every member is reduced, so it equals and hashes as its class
-        for member in family:
-            if member.symbol.defect == -2 * member.subset.defect:
-                classes.discard(member.symbol)
+        yield n, len({symbol for _, symbol in family}), 4**special.degree
+        # every member is reduced, so it equals and hashes as its class; the
+        # defect law, defect(symbol) = -2 * defect(moved subset), in row lengths
+        for moved, symbol in family:
+            if len(symbol.top) + 2 * len(moved.top) == len(symbol.bottom) + 2 * len(moved.bottom):
+                classes.discard(symbol)
     yield n, size_total, total
     yield n, total - len(classes), total
 

@@ -68,6 +68,11 @@ RECORDS = {
         ),
         ("symbol", "special", "degree", "note"),
     ),
+    # values that hold the JSON separators, and keys that hold "%"
+    "separators": (
+        (("a, b", "two\nlines", ",\n    ", 'x": 1, "y'),),
+        ("comma", "newline", "indent", "100%s %"),
+    ),
     # past one block, so the output leaves in more than one write
     "blocks": (
         tuple((n, "x" * 100) for n in range(2000)),
@@ -87,6 +92,57 @@ def test_streamed_records_match_one_shot_rendering(records, columns):
     expected_json = json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n"
     assert as_json.getvalue() == expected_json
     assert as_csv.getvalue() == one_shot_csv.getvalue()
+
+
+def _reference_class_records(rank: int, defect: int) -> list[tuple]:
+    """Each class's record built from the class alone, every value by the
+    public API, with no text shared between records."""
+    records = []
+    for cls in symbols.enumerate_classes(rank, defect):
+        special = symbols.is_special(cls)
+        degree = symbols.SpecialSymbol(cls).degree if special else None
+        records.append(
+            (str(cls), cls.rank, cls.defect, str(symbols.to_bipartition(cls)), special, degree)
+        )
+    return records
+
+
+def _reference_rendering(records: list[tuple], fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps([dict(zip(CLASS_COLUMNS, r)) for r in records], indent=2) + "\n"
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(CLASS_COLUMNS)
+        writer.writerows(records)
+        return out.getvalue()
+    rows = [CLASS_COLUMNS, *(["-" if v is None else str(v) for v in r] for r in records)]
+    widths = [max(len(row[i]) for row in rows) for i in range(len(CLASS_COLUMNS))]
+    lines = ("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rank", range(11))
+def test_class_listing_matches_the_reference_rendering(capsys, rank):
+    # odd defects and empty listings (rank 1, defect 3; rank 0, defect 6) too
+    for defect in range(-6, 7):
+        records = _reference_class_records(rank, defect)
+        for fmt in ("json", "csv", "text"):
+            argv = ["--rank", str(rank), "--defect", str(defect), "--format", fmt]
+            code, out = run_cli(capsys, "symbols", "enumerate", *argv)
+            assert code == 0
+            assert out == _reference_rendering(records, fmt), (defect, fmt)
+
+
+def test_class_listing_tests_each_class_once_for_specialness(capsys, monkeypatch):
+    tested = []
+    is_special = symbols.is_special
+    monkeypatch.setattr(symbols, "is_special", lambda s: tested.append(s) or is_special(s))
+    code, out = run_cli(capsys, "symbols", "enumerate", "--rank", "12", "--defect", "0", "--format", "csv")
+    assert code == 0
+    # one record per class, the header aside, and one test per class
+    assert len(tested) == len(out.splitlines()) - 1 == partitions.bipartition_count(12)
+    assert len(set(tested)) == len(tested)
 
 
 def test_text_columns_are_as_wide_as_their_rendered_cells():

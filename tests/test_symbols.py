@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,16 @@ class TestBijection:
                             revalidated(member.subset)
                             revalidated(member.symbol)
 
+    @given(st.frozensets(st.integers(0, 60), max_size=12))
+    @settings(max_examples=200)
+    def test_staircase_strip_drops_the_zero_suffix(self, entries):
+        row = tuple(sorted(entries, reverse=True))
+        staircase = range(len(row) - 1, -1, -1)
+        filtered = tuple([p for p in map(operator.sub, row, staircase) if p > 0])
+        stripped = symbols._staircase_strip(row)
+        assert type(stripped) is Partition
+        assert stripped.parts == filtered
+
     def test_image_is_class_invariant(self):
         s = Symbol.parse("3,1;2,0")
         assert to_bipartition(s.shift(3)) == to_bipartition(s)
@@ -313,6 +324,19 @@ class TestSpecials:
     def test_rejects_non_special(self):
         with pytest.raises(ValueError):
             SpecialSymbol(Symbol.parse("3,0;2,1"))
+        with pytest.raises(ValueError):
+            SpecialSymbol(Symbol.parse("4,0;-"))
+
+    def test_unchecked_constructor_matches_the_public_one(self):
+        for n in range(9):
+            for cls in filter(is_special, enumerate_classes(n, 0)):
+                checked, unchecked = SpecialSymbol(cls), SpecialSymbol._of(cls)
+                assert type(unchecked) is SpecialSymbol
+                assert unchecked.symbol is cls
+                assert sorted(unchecked.common) == sorted(checked.common)
+                assert unchecked.singles == checked.singles
+                assert unchecked.degree == checked.degree
+                assert unchecked.family() == checked.family()
 
     def test_singles_examples(self):
         assert str(SpecialSymbol(Symbol.parse("4,1;1,0")).singles) == "4;0"
@@ -562,6 +586,16 @@ def _rank4_member_transposed(iter_family):
     return patched
 
 
+def _rank4_subsets_transposed(iter_family):
+    def patched(self):
+        for member in iter_family(self):
+            if self.symbol.rank == 4:
+                member = FamilyMember(member.subset.transpose(), member.symbol)
+            yield member
+
+    return patched
+
+
 def _rank6_family_repeats_first(family):
     def patched(self):
         members = family(self)
@@ -642,6 +676,17 @@ class TestChecks:
         report = check_family_partition(8, Recorder())
         assert report.passed
         assert len(report.children) == 9
+
+    def test_lawless_members_are_distinct_but_reach_no_class(self, monkeypatch):
+        # every member keeps its symbol, so each family still has 4^degree
+        # distinct members and the sizes still sum to the class count; only
+        # the members moved by a subset of nonzero defect break the defect law
+        breakage = _rank4_subsets_transposed(SpecialSymbol.iter_family)
+        monkeypatch.setattr(SpecialSymbol, "iter_family", breakage)
+        leaf = check_family_partition(4, Recorder()).children[4]
+        total = sum(class_counts(4).values())
+        assert not leaf.passed
+        assert leaf.mismatch.rhs == total and 0 < leaf.mismatch.lhs < total
 
     @pytest.mark.parametrize(
         "owner, name, breakage, leaf",
