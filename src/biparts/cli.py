@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Each command imports the modules it runs when it runs, so a fresh process
 loads only those: ``p`` the Rademacher series, ``p2`` the count tables,
-``table`` and ``symbols`` the tables and the symbols, ``verify`` everything.
+``table`` and ``symbols`` the tables and the symbols, ``verify`` the
+harness and the series engine, and the symbols or the Rademacher series only
+for the checks that use them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import csv
 import json
 import os
 import sys
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from biparts.partitions import EnumerationCapError, _format_row
@@ -147,11 +150,15 @@ def _emit(write: Callable[[TextIO], object], out: str | None) -> None:
             raise argparse.ArgumentError(None, f"cannot write {where}: {exc.strerror}")
 
 
-#: Encodes a flat record, a tuple of scalars, as ``[v1,\n    v2, ...]``:
-#: its values in the layout of an entry of ``json.dumps(records, indent=2)``,
-#: encoded in C, since json does so only without ``indent``.  An encoded
-#: string holds no newline, so splitting on the separator gives the values.
+#: Encodes a list of flat records, tuples of scalars, as
+#: ``[[v1,\n    v2],\n    [v1,\n    v2]]``: each record's values in the layout
+#: of an entry of ``json.dumps(records, indent=2)``, encoded in C, since json
+#: does so only without ``indent``.  An encoded string holds no newline, so
+#: splitting on ``],\n    [`` gives the records and on ``,\n    `` their values.
 _encode_record = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+
+#: Records encoded by one :data:`_encode_record` call in a JSON listing.
+CHUNK = 1024
 
 #: Characters collected before a write: stdout flushes every write when
 #: PYTHONUNBUFFERED is set, so record output leaves in blocks this large.
@@ -186,7 +193,8 @@ def _write_records(
     """Tuples of values in the order of ``columns`` -> JSON objects keyed by
     ``columns``, CSV rows or text table; None renders as null, empty or ``-``.
 
-    JSON and CSV are rendered one record at a time, byte for byte as
+    JSON is rendered :data:`CHUNK` records at a time and CSV one record at
+    a time, byte for byte as
     ``json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n"``
     and as ``csv.writer`` rows under a header of ``columns``, and leave in
     blocks of at least :data:`BLOCK` characters.  The text table renders
@@ -211,10 +219,11 @@ def _write_records(
             _encode_record(key).replace("%", "%%") + ": %s" for key in columns
         )
         opening, closing = "[\n  {\n    ", "[]\n"
-        for record in records:
-            values = _encode_record(record)[1:-1].split(",\n    ")
-            blocks.write(opening + template % tuple(values))
-            opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
+        records = iter(records)
+        while chunk := list(islice(records, CHUNK)):
+            for values in _encode_record(chunk)[2:-2].split("],\n    ["):
+                blocks.write(opening + template % tuple(values.split(",\n    ")))
+                opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
         blocks.write(closing)
     blocks.flush()
 

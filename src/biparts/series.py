@@ -9,6 +9,7 @@ throughout, so every comparison is exact.
 from __future__ import annotations
 
 from functools import reduce
+from math import gcd
 from operator import add, mul
 from typing import Iterable, Sequence
 
@@ -131,10 +132,7 @@ class TruncatedSeries:
             raise ValueError(
                 f"dilation by {factor} to order {order} needs source order {need}"
             )
-        coeffs = [0] * (order + 1)
-        for i in range(need + 1):
-            coeffs[factor * i] = self.coeffs[i]
-        return TruncatedSeries(order, coeffs)
+        return TruncatedSeries(order, kernels.spread(self.coeffs, factor, order))
 
     def __repr__(self) -> str:
         terms = [
@@ -148,8 +146,11 @@ def product_series(factors: Iterable[tuple[int, int, int]], order: int) -> Trunc
     """Expand a product of prod_{k>=0} (1 - q^(s+km))^e families, given as
     (s, m, e) triples, to the given order.
 
-    Each family is folded once, one binomial (1 - q^j) per j up to the
-    order, into its own list and raised to |e| by squaring; binomials with
+    When g, the gcd of every offset and step of the factors of nonzero
+    exponent, exceeds 1, the product is a series in q^g: it is expanded with
+    every offset and step divided by g at order // g, and dilated.  Each
+    family is folded once, one binomial (1 - q^j) per j up to the order,
+    into its own list and raised to |e| by squaring; binomials with
     q-exponent beyond the order contribute nothing and are skipped.  The
     families of negative exponent are multiplied together and inverted once
     at the end, so all intermediate arithmetic stays in plain integer
@@ -165,14 +166,23 @@ def product_series(factors: Iterable[tuple[int, int, int]], order: int) -> Trunc
             raise ValueError(
                 "factor with offset 0 and negative exponent has no inverse"
             )
+    factors = [factor for factor in factors if factor[2]]
+    if any(offset == 0 for offset, _, _ in factors):
+        # (1 - q^0) = 0: the whole product collapses
+        return TruncatedSeries.zero(order)
+    g = gcd(*(n for offset, step, _ in factors for n in (offset, step)))
+    if g < 2:
+        return _expand(factors, order)
+    reduced = [(offset // g, step // g, exponent) for offset, step, exponent in factors]
+    return TruncatedSeries(order, kernels.spread(_expand(reduced, order // g).coeffs, g, order))
+
+
+def _expand(factors: list[tuple[int, int, int]], order: int) -> TruncatedSeries:
+    """The folds, powers and one inverse of :func:`product_series`, for
+    validated factors of nonzero exponent and positive offset."""
     numerator: list[TruncatedSeries] = []
     denominator: list[TruncatedSeries] = []
     for offset, step, exponent in factors:
-        if exponent == 0:
-            continue
-        if offset == 0:
-            # (1 - q^0) = 0: the whole product collapses
-            return TruncatedSeries.zero(order)
         family = [1] + [0] * order
         for j in range(offset, order + 1, step):
             kernels.fold_binomial(family, j)
@@ -252,15 +262,40 @@ class BivariateSeries:
         )
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        """One :func:`kernels.mul_series` per pair of columns za, zb, summed by za + zb."""
+        """One :func:`kernels.mul_series` call on the packed sides.
+
+        Each side lists its columns, from its lowest power of z to its
+        highest, in blocks of 2 * order + 1 coefficients: column z at block
+        z - lowest.  A product of two q-powers up to the order stays inside
+        its block, so block k of the product is the column of z = k plus
+        both lowest powers.  A series times itself packs once and squares.
+        """
         _require_same_order(self.order, other.order)
-        columns: dict = {}
-        for za, a in self.columns.items():
-            for zb, b in other.columns.items():
-                product = kernels.mul_series(a, b, self.order)
-                z = za + zb
-                columns[z] = list(map(add, columns[z], product)) if z in columns else product
-        return BivariateSeries(self.order, columns)
+        if not self.columns or not other.columns:
+            return BivariateSeries(self.order, {})
+        stride = 2 * self.order + 1
+        low_a, packed_a = self._packed(stride)
+        low_b, packed_b = (low_a, packed_a) if other is self else other._packed(stride)
+        # the index of q^order in the product's top block; each side's top
+        # block holds order + 1 entries
+        top = len(packed_a) + len(packed_b) - self.order - 2
+        product = kernels.mul_series(packed_a, packed_b, top)
+        size = self.order + 1
+        starts = range(0, top + 1, stride)
+        return BivariateSeries(
+            self.order,
+            {low_a + low_b + k: product[start : start + size] for k, start in enumerate(starts)},
+        )
+
+    def _packed(self, stride: int) -> tuple[int, list]:
+        """(lowest power of z, the columns in blocks of ``stride``), the last
+        block cut to ``order + 1`` coefficients."""
+        low, high = min(self.columns), max(self.columns)
+        packed = [0] * ((high - low) * stride + self.order + 1)
+        for z, column in self.columns.items():
+            start = (z - low) * stride
+            packed[start : start + self.order + 1] = column
+        return low, packed
 
     def __repr__(self) -> str:
         count = sum(c != 0 for column in self.columns.values() for c in column)
@@ -310,11 +345,10 @@ ROGERS_RAMANUJAN_FACTORS = [(2, 5, 1), (3, 5, 1), (1, 5, -1), (4, 5, -1)]
 
 
 def rogers_ramanujan_c(order: int) -> TruncatedSeries:
-    """The Rogers-Ramanujan quotient with q replaced by q^5.
-
-    Expanded to order//5 and then dilated, so the result is supported on
-    exponents divisible by 5 and has constant term 1.
-    """
-    base = product_series(ROGERS_RAMANUJAN_FACTORS, order // 5)
-    return base.dilate(5, order)
-
+    """The Rogers-Ramanujan quotient with q replaced by q^5: the product of
+    its factors with every offset and step scaled by 5, so the result is
+    supported on exponents divisible by 5 and has constant term 1."""
+    return product_series(
+        [(5 * offset, 5 * step, exponent) for offset, step, exponent in ROGERS_RAMANUJAN_FACTORS],
+        order,
+    )

@@ -3,16 +3,21 @@
 Each check takes one primary bound and returns a CheckReport.  It calls the
 engines through their modules, so a name rebound there is the one called.
 Defaults are chosen to run the full battery in well under a minute.
+``symbols`` and ``rademacher`` are imported by the checks that use them, so
+the other checks start without loading them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from biparts import partitions, rademacher, series, symbols
+from biparts import partitions, series
 from biparts.report import CheckReport, Recorder, combine
+
+if TYPE_CHECKING:
+    from biparts import symbols
 
 
 def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
@@ -380,6 +385,8 @@ def check_mod5_congruences(bound: int, recorder: Recorder) -> CheckReport:
     """Residue check on the tables: p2(m) = 0 mod 5 whenever m = 2,3,4 mod 5,
     and p(5n+4) = 0 mod 5; and p(bound) from the table against the
     Rademacher series."""
+    from biparts import rademacher
+
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
     children = [
@@ -423,6 +430,8 @@ def check_class_count_difference(bound: int, recorder: Recorder) -> CheckReport:
     ``CLASS_ENUM_BOUND`` each defect's count is re-verified by full class
     enumeration.
     """
+    from biparts import symbols
+
     enum_bound = min(CLASS_ENUM_BOUND, bound)
     conv = partitions.bipartition_counts_convolution_upto(bound)
     plus, minus = symbols.class_count_columns(conv)
@@ -466,6 +475,8 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     member reaches is discarded from it, and the number reached is the
     number of classes less what is left.
     """
+    from biparts import symbols
+
     partitions.refuse_past_cap(partitions.bipartition_count, bound, "p2")
     children = []
     for n in range(bound + 1):

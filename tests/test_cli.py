@@ -73,7 +73,13 @@ RECORDS = {
         (("a, b", "two\nlines", ",\n    ", 'x": 1, "y'),),
         ("comma", "newline", "indent", "100%s %"),
     ),
-    # past one block, so the output leaves in more than one write
+    # values that hold the record separator of a batch and its brackets
+    "brackets": (
+        (("a],", "[b", "],\n    [", "]]"), ("[[", "],[", '"],', "x")),
+        ("close", "open", "split", "ends"),
+    ),
+    # past one block and one batch of records, so the output leaves in more
+    # than one write
     "blocks": (
         tuple((n, "x" * 100) for n in range(2000)),
         ("n", "text"),

@@ -21,8 +21,15 @@ def naive_partition_counts(upto: int) -> list[int]:
     return table
 
 
+def padded(coeffs: list, order: int) -> list:
+    """``coeffs`` cut or padded with zeros to ``order + 1`` entries."""
+    return (coeffs + [0] * (order + 1))[: order + 1]
+
+
 def naive_convolution(a: list[int], b: list[int], order: int) -> list[int]:
-    """The double loop the Kronecker product and the self-convolution replaced."""
+    """The double loop the Kronecker product and the self-convolution
+    replaced; missing coefficients count as zero."""
+    a, b = padded(a, order), padded(b, order)
     out = [0] * (order + 1)
     for i in range(order + 1):
         for j in range(order + 1 - i):
@@ -216,7 +223,27 @@ def mixed_coefficients(seed: int, length: int, bits: int) -> list:
     return [rng.choice((0, rng.randrange(-top, top))) for _ in range(length)]
 
 
+def sparse_coefficients(seed: int, length: int, count: int) -> list:
+    """``count`` nonzero coefficients at random indices: mostly +-1 and +-2,
+    as in theta and pentagonal series, with a few larger values of both signs."""
+    rng = random.Random(seed)
+    out = [0] * length
+    for i in rng.sample(range(length), count):
+        out[i] = rng.choice((1, -1, 2, -2, 1, -1, 2, -2, 3, -7, 1 << 70, -(1 << 65)))
+    return out
+
+
+def dilated(coeffs: list, factor: int) -> list:
+    """``coeffs`` with q replaced by q^factor."""
+    out = [0] * (factor * (len(coeffs) - 1) + 1)
+    for i, c in enumerate(coeffs):
+        out[factor * i] = c
+    return out
+
+
 P_TABLE = naive_partition_counts(300)
+SPARSE_61 = sparse_coefficients(11, 61, 12)
+STRIDE_5 = dilated(mixed_coefficients(14, 41, 20), 5)
 MUL_CASES = {
     "negative": (mixed_coefficients(1, 41, 6), mixed_coefficients(2, 41, 6), 40),
     "200-bit": (mixed_coefficients(3, 31, 200), mixed_coefficients(4, 31, 200), 30),
@@ -227,6 +254,55 @@ MUL_CASES = {
     "longer operands": (mixed_coefficients(9, 50, 30), mixed_coefficients(10, 35, 30), 20),
     "all -1": ([-1] * 64, [-1] * 64, 63),
     "p table squared": (P_TABLE, P_TABLE, 300),
+    "sparse left": (SPARSE_61, mixed_coefficients(12, 61, 40), 60),
+    "sparse right": (mixed_coefficients(13, 61, 40), sparse_coefficients(13, 61, 5), 60),
+    "sparse squared": (SPARSE_61, SPARSE_61, 60),
+    "sparse at the cutoff": (
+        sparse_coefficients(15, 301, kernels.SPARSE), mixed_coefficients(16, 301, 9), 300
+    ),
+    "past the cutoff": (
+        sparse_coefficients(17, 301, kernels.SPARSE + 1), mixed_coefficients(18, 301, 9), 300
+    ),
+    "sparse and short": ([0, 0, 3, 0, -2], mixed_coefficients(19, 7, 8), 20),
+    "both stride 5": (STRIDE_5, dilated(sparse_coefficients(20, 41, 9), 5), 200),
+    "stride 5 squared": (STRIDE_5, STRIDE_5, 203),
+    "stride 2 against 3": (
+        dilated(mixed_coefficients(21, 61, 8), 2), dilated(mixed_coefficients(22, 41, 8), 3), 120
+    ),
+    "dense stride 2 against 4": (dilated(P_TABLE, 2), dilated(P_TABLE[::-1], 4), 299),
+    "stride 25 and short": (dilated([1, -1, 5], 25), dilated([2, 0, 1, -1], 25), 149),
+    "constants only": ([4], [-3, 0, 0], 10),
+    "constant times series": ([-1], mixed_coefficients(23, 31, 30), 30),
+    "shorter operands": ([5, 0, -3, 0, 9], mixed_coefficients(25, 9, 8), 20),
+}
+
+#: The routes each case of MUL_CASES calls, in the order they return:
+#: "sparse" or "kronecker", and for series in q^g the route of the compressed
+#: operands, then "strided" for the spread; none for a zero operand.
+MUL_ROUTES = {
+    "negative": ["sparse"],
+    "200-bit": ["sparse"],
+    "mixed widths": ["sparse"],
+    "zero left": [],
+    "zero right": [],
+    "order 0": ["sparse"],
+    "longer operands": ["sparse"],
+    "all -1": ["sparse"],
+    "p table squared": ["kronecker"],
+    "sparse left": ["sparse"],
+    "sparse right": ["sparse"],
+    "sparse squared": ["sparse"],
+    "sparse at the cutoff": ["sparse"],
+    "past the cutoff": ["kronecker"],
+    "sparse and short": ["sparse"],
+    "both stride 5": ["sparse", "strided"],
+    "stride 5 squared": ["sparse", "strided"],
+    "stride 2 against 3": ["sparse"],
+    "dense stride 2 against 4": ["kronecker", "strided"],
+    "stride 25 and short": ["sparse", "strided"],
+    "constants only": ["sparse"],
+    "constant times series": ["sparse"],
+    "shorter operands": ["sparse"],
 }
 
 
@@ -235,6 +311,71 @@ def test_mul_series_matches_schoolbook(case):
     a, b, order = case
     assert kernels.mul_series(a, b, order) == naive_convolution(a, b, order)
     assert kernels.mul_series(b, a, order) == naive_convolution(b, a, order)
+
+
+@pytest.mark.parametrize("name", MUL_CASES)
+def test_mul_series_takes_the_route_of_its_operands(name, monkeypatch):
+    routes = []
+    spies = (("strided", "spread"), ("sparse", "_mul_sparse"), ("kronecker", "_mul_kronecker"))
+    for route, attribute in spies:
+        original = getattr(kernels, attribute)
+        monkeypatch.setattr(
+            kernels, attribute, lambda *args, _f=original, _r=route: routes.append(_r) or _f(*args)
+        )
+    a, b, order = MUL_CASES[name]
+    kernels.mul_series(a, b, order)
+    assert routes == MUL_ROUTES[name]
+
+
+def sparse_list(terms: list, order: int) -> list:
+    """A coefficient list of ``order + 1`` entries with the given (index, value) terms."""
+    out = [0] * (order + 1)
+    for i, c in terms:
+        out[i % (order + 1)] = c
+    return out
+
+
+terms_strategy = st.lists(
+    st.tuples(st.integers(0, 80), st.integers(-(1 << 70), 1 << 70)), max_size=kernels.SPARSE + 3
+)
+
+
+@given(a=terms_strategy, b=st.lists(st.integers(-99, 99), max_size=60), order=st.integers(0, 70))
+@settings(max_examples=80)
+def test_sparse_mul_series_matches_naive(a, b, order):
+    a = sparse_list(a, order)
+    expected = naive_convolution(a, b, order)
+    assert kernels.mul_series(a, b, order) == expected
+    assert kernels.mul_series(b, a, order) == expected
+    assert kernels.mul_series(a, a, order) == naive_convolution(a, a, order)
+
+
+@given(
+    a=st.lists(st.integers(-9, 9), max_size=30),
+    b=st.lists(st.integers(-(1 << 40), 1 << 40), max_size=30),
+    g=st.integers(2, 6),
+    h=st.integers(1, 3),
+    order=st.integers(0, 150),
+)
+@settings(max_examples=80)
+def test_strided_mul_series_matches_naive(a, b, g, h, order):
+    # strides g and g * h share g; a constant-only or empty operand leaves
+    # the other's stride
+    a, b = dilated(a or [0], g), dilated(b or [0], g * h)
+    expected = naive_convolution(a, b, order)
+    assert kernels.mul_series(a, b, order) == expected
+    assert kernels.mul_series(b, a, order) == expected
+    assert kernels.mul_series(a, a, order) == naive_convolution(a, a, order)
+
+
+@pytest.mark.parametrize("stride", [2, 3, 5, 25])
+@pytest.mark.parametrize("order", [0, 1, 4, 5, 24, 25, 26, 199, 200])
+def test_invert_series_of_a_series_in_q_to_a_power(stride, order):
+    for unit, bits in ((1, 3), (-1, 90)):
+        base = mixed_coefficients(order + stride + bits, order // stride + 2, bits)
+        base[0] = unit
+        a = dilated(base, stride)
+        assert kernels.invert_series(a, order) == schoolbook_invert_series(padded(a, order), order)
 
 
 @pytest.mark.parametrize("unit", [1, -1])

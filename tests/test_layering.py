@@ -143,6 +143,14 @@ STARTUP = {
     "table --max 3": ({"biparts.symbols"}, HEAVY | {"biparts.rademacher"}),
     "symbols enumerate --rank 4 --defect 2": ({"biparts.symbols"}, HEAVY | {"biparts.rademacher"}),
     "verify euler --max 3": ({"biparts.verify", "biparts.series"}, set()),
+    # verify imports the symbols and the Rademacher series only in the checks
+    # that use them
+    "verify lemma22 --max 1": (
+        {"biparts.verify", "biparts.series"},
+        {"biparts.symbols", "biparts.rademacher"},
+    ),
+    "verify families --max 1": ({"biparts.symbols"}, {"biparts.rademacher"}),
+    "verify congruence --max 5": ({"biparts.rademacher"}, {"biparts.symbols"}),
 }
 
 

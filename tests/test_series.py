@@ -231,6 +231,45 @@ class TestProductSeries:
         order = rng.randint(0, 120)
         assert product_series(factors, order) == loop_product_series(factors, order)
 
+    @pytest.mark.parametrize("g", [2, 5, 25])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_factor_sets_in_q_to_a_power_match_loop(self, g, seed):
+        # every offset and step a multiple of g, so the product is expanded
+        # at order // g and dilated; offset-0 factors and exponent 0 included
+        rng = random.Random(100 * g + seed)
+        pool = [(offset, step) for offset in range(4) for step in (1, 2, 3, 5)]
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            offset, step = rng.choice(pool)
+            exponent = rng.randint(0 if offset == 0 else -3, 3)
+            factors.append((g * offset, g * step, exponent))
+        order = rng.randint(0, 300)
+        assert product_series(factors, order) == loop_product_series(factors, order)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            # offsets with a common factor that a step lacks
+            [(2, 3, 1)],
+            [(4, 2, 1), (6, 1, -1)],
+            [(10, 5, 2), (5, 15, -1)],
+            # an exponent-0 factor with a step of 1 does not count
+            [(2, 2, -2), (1, 1, 0)],
+            [(50, 25, -1), (0, 1, 0), (25, 75, 3)],
+        ],
+    )
+    @pytest.mark.parametrize("order", [0, 1, 9, 10, 11, 240])
+    def test_common_factor_of_offsets_and_steps(self, factors, order):
+        assert product_series(factors, order) == loop_product_series(factors, order)
+
+    def test_validation_precedes_the_common_factor(self):
+        # (1 - q^0) collapses and an offset-0 inverse raises, whatever g is
+        assert product_series([(10, 5, 1), (0, 5, 1)], 40) == TruncatedSeries.zero(40)
+        with pytest.raises(ValueError):
+            product_series([(10, 5, 1), (0, 5, -1)], 40)
+        with pytest.raises(ValueError):
+            product_series([(0, 10, 1), (10, 0, 1)], 40)
+
     @pytest.mark.parametrize("exponent", [1, 2, 3, 4, -1, -2, -3, -4])
     def test_each_family_folds_once(self, exponent):
         with mock.patch.object(kernels, "fold_binomial", wraps=kernels.fold_binomial) as fold:
@@ -367,8 +406,8 @@ class TestBivariate:
         monkeypatch.setattr(kernels, "mul_series", spy)
         a = random_bivariate(random.Random(100 + order), order)
         assert a * a == sparse_product(a, a)
-        # one squaring per column: each pairs with itself once
-        assert squares.count(True) == len(a.columns)
+        # the packed series is squared in one call, and an empty one not at all
+        assert squares == ([True] if a.columns else [])
 
     def test_mul(self):
         # (1 + z q) * (1 + z^-1) = 1 + z^-1 + z q + q
@@ -408,6 +447,11 @@ class TestRogersRamanujan:
         for i, coeff in enumerate(c.coeffs):
             if i % 5:
                 assert coeff == 0
+
+    @pytest.mark.parametrize("order", [0, 4, 5, 9, 137, 800])
+    def test_is_the_dilated_base_quotient(self, order):
+        base = product_series(series.ROGERS_RAMANUJAN_FACTORS, order // 5)
+        assert rogers_ramanujan_c(order) == base.dilate(5, order)
 
     def test_leading_terms(self):
         c = rogers_ramanujan_c(30)
