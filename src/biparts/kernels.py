@@ -4,7 +4,8 @@ Each kernel moves its work out of the interpreter.  The tables add far
 offsets as whole slices, the series product is one big-integer multiply
 (Kronecker substitution), the self-convolution is the truncated square
 through that product, the inverse is a Newton iteration over it, and a
-binomial fold is a single slice assignment.
+binomial fold is a single slice assignment over the part of the list past
+the zeros its caller vouches for.
 
 The series product and the inverse take a route from the shape of their
 operands, with no option to choose it.  A series in q^g (every nonzero
@@ -276,10 +277,17 @@ def _invert(a: list, order: int) -> list:
     return out
 
 
-def fold_binomial(vec: list, j: int) -> None:
-    """Multiply a coefficient list in place by (1 - q^j), j >= 0."""
-    if j < 0:
-        raise ValueError("fold exponent must be nonnegative")
-    # map stops at the shorter operand; the slice assignment reads the whole
-    # map before it writes, so every subtrahend is an old entry
-    vec[j:] = map(sub, vec[j:], vec)
+def fold_binomial(vec: list, j: int, gap: int = 1) -> None:
+    """Multiply a coefficient list in place by (1 - q^j), j >= 0.
+
+    ``gap`` is the caller's promise that ``vec`` is zero at indices 1 ..
+    gap - 1, so only vec[0] lands at q^j and the entries from j + gap on
+    need a subtraction; the default promises nothing.
+    """
+    if j < 0 or gap < 1:
+        raise ValueError("fold exponent must be nonnegative and gap positive")
+    if j < len(vec):
+        # map stops at the shorter operand; the slice assignment reads the
+        # whole map before it writes, so every subtrahend is an old entry
+        vec[j + gap :] = map(sub, vec[j + gap :], vec[gap:])
+        vec[j] -= vec[0]

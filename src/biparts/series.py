@@ -152,6 +152,8 @@ def product_series(factors: Iterable[tuple[int, int, int]], order: int) -> Trunc
     family is folded once, one binomial (1 - q^j) per j up to the order,
     into its own list and raised to |e| by squaring; binomials with
     q-exponent beyond the order contribute nothing and are skipped.  The
+    folds run from the largest j down, so each one shifts only the part of
+    the list past the zeros left by the binomials already folded.  The
     families of negative exponent are multiplied together and inverted once
     at the end, so all intermediate arithmetic stays in plain integer
     polynomials.
@@ -184,8 +186,10 @@ def _expand(factors: list[tuple[int, int, int]], order: int) -> TruncatedSeries:
     denominator: list[TruncatedSeries] = []
     for offset, step, exponent in factors:
         family = [1] + [0] * order
-        for j in range(offset, order + 1, step):
-            kernels.fold_binomial(family, j)
+        # from the largest binomial down: before the fold of j the family
+        # is zero at 1 .. j + step - 1, so the fold shifts only its tail
+        for j in reversed(range(offset, order + 1, step)):
+            kernels.fold_binomial(family, j, j + step)
         power = TruncatedSeries(order, family) ** abs(exponent)
         (numerator if exponent > 0 else denominator).append(power)
     if denominator:
@@ -302,42 +306,50 @@ class BivariateSeries:
         return f"BivariateSeries(order={self.order}, terms={count})"
 
 
-def _shift_add(columns: dict, step: int, k: int, size: int) -> None:
+def _shift_add(columns: dict, lows: dict, step: int, k: int, size: int) -> None:
     """Multiply z-columns in place by (1 + z^step q^k), for step = +1 or -1.
 
     ``columns`` maps each power of z to its dense list of ``size`` q
-    coefficients.  Column z + step gains column z shifted up by k, so the
-    columns are visited in the direction of ``step`` reversed: each is read
-    as a source before it is updated as a target.  A column is created only
-    when the shifted source has a nonzero coefficient within the order.
+    coefficients, and ``lows`` to the index of that column's first nonzero
+    one; only the part from there is shifted.  Column z + step gains column
+    z shifted up by k, so the columns are visited in the direction of
+    ``step`` reversed: each is read as a source before it is updated as a
+    target.  A column is created only when the shifted source has a nonzero
+    coefficient within the order.  Every coefficient stays nonnegative, so
+    no sum cancels a column's first nonzero one.
     """
-    if k >= size:
-        return
     for z in sorted(columns, reverse=step > 0):
-        source = columns[z][: size - k]
+        start = lows[z] + k
+        if start >= size:
+            continue
+        source = columns[z][lows[z] : size - k]
         target = columns.get(z + step)
-        if target is not None:
-            target[k:] = map(add, target[k:], source)
-        elif any(source):
-            columns[z + step] = [0] * k + source
+        if target is None:
+            columns[z + step] = [0] * start + source
+            lows[z + step] = start
+        else:
+            target[start:] = map(add, target[start:], source)
+            lows[z + step] = min(lows[z + step], start)
 
 
 def triple_product_series(order: int) -> BivariateSeries:
     """prod_{k>=1} (1 + z q^k)(1 + z^-1 q^(k-1))(1 - q^k) to the given q-order.
 
-    Each binomial factor is applied by shift-add to dense q-columns, one per
-    power of z, rather than by a generic bivariate product.  Factors whose
+    The two z binomials of each k are applied by shift-add to dense
+    q-columns, one per power of z, rather than by a generic bivariate
+    product.  The z-free factor (q;q) is expanded once by
+    :func:`product_series` and multiplied into each column.  Factors whose
     q-exponent exceeds the order are omitted.
     """
     size = order + 1
-    columns = {0: [1] + [0] * order}
+    columns, lows = {0: [1] + [0] * order}, {0: 0}
     for k in range(1, order + 2):
-        _shift_add(columns, 1, k, size)
-        _shift_add(columns, -1, k - 1, size)
-        if k <= order:
-            for column in columns.values():
-                kernels.fold_binomial(column, k)
-    return BivariateSeries(order, columns)
+        _shift_add(columns, lows, 1, k, size)
+        _shift_add(columns, lows, -1, k - 1, size)
+    eta = product_series([(1, 1, 1)], order).coeffs
+    return BivariateSeries(
+        order, {z: kernels.mul_series(column, eta, order) for z, column in columns.items()}
+    )
 
 
 #: Factors of R(q) = (q^2;q^5)(q^3;q^5) / ((q;q^5)(q^4;q^5)).

@@ -508,12 +508,14 @@ def _family_triples(
     for special in specials:
         family = special.family()
         size_total += len(family)
-        yield n, len({symbol for _, symbol in family}), 4**special.degree
         # every member is reduced, so it equals and hashes as its class; the
         # defect law, defect(symbol) = -2 * defect(moved subset), in row lengths
+        lawful, lawless = set(), set()
         for moved, symbol in family:
-            if len(symbol.top) + 2 * len(moved.top) == len(symbol.bottom) + 2 * len(moved.bottom):
-                classes.discard(symbol)
+            law = len(symbol.top) - len(symbol.bottom) == 2 * (len(moved.bottom) - len(moved.top))
+            (lawful if law else lawless).add(symbol)
+        yield n, len(lawful | lawless), 4**special.degree
+        classes.difference_update(lawful)
     yield n, size_total, total
     yield n, total - len(classes), total
 

@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import zip_longest
 
 import pytest
 
@@ -96,8 +97,16 @@ def test_streamed_records_match_one_shot_rendering(records, columns):
     writer.writerow(columns)
     writer.writerows(records)
     expected_json = json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n"
-    assert as_json.getvalue() == expected_json
-    assert as_csv.getvalue() == one_shot_csv.getvalue()
+    assert_same_lines(as_json.getvalue(), expected_json)
+    assert_same_lines(as_csv.getvalue(), one_shot_csv.getvalue())
+
+
+def assert_same_lines(text: str, expected: str) -> None:
+    """``text == expected``, failing at the first differing line: pytest's
+    own diff of two long strings runs for minutes."""
+    lines = zip_longest(text.split("\n"), expected.split("\n"))
+    for number, (line, expected_line) in enumerate(lines, 1):
+        assert line == expected_line, f"line {number} differs"
 
 
 def _reference_class_records(rank: int, defect: int) -> list[tuple]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from biparts import kernels
@@ -406,7 +406,32 @@ def test_fold_binomial_matches_loop(length):
         assert vec == expected, j
 
 
+@given(
+    coeffs=st.lists(st.integers(-(10**30), 10**30), max_size=40),
+    j=st.integers(0, 45),
+    gap=st.integers(1, 45),
+)
+@example(coeffs=[3, 1, 4, 1, 5], j=0, gap=2)
+@example(coeffs=[3, 1, 4, 1, 5], j=5, gap=2)
+@example(coeffs=[3, 1, 4, 1, 5], j=2, gap=5)
+@example(coeffs=[3, 1, 4, 1, 5], j=0, gap=9)
+@example(coeffs=[], j=0, gap=1)
+@settings(max_examples=200)
+def test_fold_binomial_with_gap_matches_loop(coeffs, j, gap):
+    # the fold's precondition: zero at indices 1 .. gap - 1
+    vec = coeffs[:1] + [0] * (min(gap, len(coeffs)) - 1) + coeffs[gap:]
+    expected = list(vec)
+    kernels.fold_binomial(vec, j, gap)
+    loop_fold_binomial(expected, j)
+    assert vec == expected
+
+
 def test_fold_binomial_rejects_negative_exponent():
     with pytest.raises(ValueError):
         kernels.fold_binomial([1, 2, 3], -1)
+
+
+def test_fold_binomial_rejects_a_gap_below_one():
+    with pytest.raises(ValueError):
+        kernels.fold_binomial([1, 2, 3], 1, 0)
 

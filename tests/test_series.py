@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_kernels import loop_fold_binomial
 
 from biparts import kernels, partitions, series, verify
 from biparts.report import Fault, Recorder
@@ -141,7 +142,8 @@ class TestTruncatedSeries:
 
 def loop_product_series(factors, order: int) -> TruncatedSeries:
     """The product expansion one binomial at a time: a factor of exponent e
-    is folded |e| times over into one numerator or denominator list, and the
+    is folded |e| times over, from the smallest binomial up, into one
+    numerator or denominator list by the test-local loop fold, and the
     denominator is inverted at the end."""
     numerator = [1] + [0] * order
     denominator = [1] + [0] * order
@@ -151,7 +153,7 @@ def loop_product_series(factors, order: int) -> TruncatedSeries:
             for j in range(offset, order + 1, step):
                 if j == 0:
                     return TruncatedSeries.zero(order)
-                kernels.fold_binomial(target, j)
+                loop_fold_binomial(target, j)
     inverse = kernels.invert_series(denominator, order)
     return TruncatedSeries(order, kernels.mul_series(numerator, inverse, order))
 
@@ -213,7 +215,7 @@ class TestProductSeries:
                 assert product_series(factors, order) == loop_product_series(factors, order)
 
     @pytest.mark.parametrize("factors", CHECK_FACTOR_SETS)
-    @pytest.mark.parametrize("order", [0, 1, 37, 400])
+    @pytest.mark.parametrize("order", [0, 1, 37, 300, 400])
     def test_check_factor_sets_match_loop(self, factors, order):
         assert product_series(factors, order) == loop_product_series(factors, order)
 
@@ -230,6 +232,18 @@ class TestProductSeries:
             factors.append((offset, step, exponent))
         order = rng.randint(0, 120)
         assert product_series(factors, order) == loop_product_series(factors, order)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_families_match_loop(self, seed):
+        # offsets and steps 1..7 and exponents +-1..3, so that the downward
+        # folds meet every gap j + step at every order up to 60
+        rng = random.Random(1000 + seed)
+        factors = [
+            (rng.randint(1, 7), rng.randint(1, 7), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for order in range(61):
+            assert product_series(factors, order) == loop_product_series(factors, order)
 
     @pytest.mark.parametrize("g", [2, 5, 25])
     @pytest.mark.parametrize("seed", range(12))
@@ -490,9 +504,27 @@ class TestChecks:
     def test_jacobi_passes(self):
         assert check_jacobi_triple_product(30, Recorder()).passed
 
-    @pytest.mark.parametrize("order", range(26))
+    @pytest.mark.parametrize("order", [*range(26), 40, 60])
     def test_shift_add_triple_product_matches_generic_product(self, order):
         assert series.triple_product_series(order) == generic_triple_product(order)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_shift_adds_in_any_order_match_generic_products(self, seed):
+        # binomials (1 + z^step q^k) in random order, so that a column can
+        # gain a nonzero coefficient below its first one and later be shifted
+        rng = random.Random(seed)
+        order = rng.randint(0, 30)
+        size = order + 1
+        columns, lows = {0: [1] + [0] * order}, {0: 0}
+        expected = BivariateSeries.one(order)
+        for _ in range(rng.randint(1, 12)):
+            step, k = rng.choice((1, -1)), rng.randint(0, order + 1)
+            series._shift_add(columns, lows, step, k, size)
+            if k <= order:
+                expected = expected * BivariateSeries.from_terms(order, [(0, 0, 1), (k, step, 1)])
+            assert BivariateSeries(order, columns) == expected
+            first = {z: next(i for i, c in enumerate(column) if c) for z, column in columns.items()}
+            assert lows == first
 
     def test_jacobi_catches_missing_factor(self):
         # rebuild the product without the (1 - q^k) factors: must mismatch
