@@ -246,8 +246,10 @@ def _table_records(bound: int) -> Iterator[tuple]:
     p = partitions.partition_counts_upto(bound)
     p2 = partitions.bipartition_counts_upto(bound)
     phi_plus, phi_minus = symbols.class_count_columns(p2)
-    for n in range(bound + 1):
-        yield n, p[n], p2[n], partitions.degenerate_count(n), phi_plus[n], phi_minus[n]
+    # p(n/2) at even n, 0 at odd n, as partitions.degenerate_count reads it
+    p_half = [0] * (bound + 1)
+    p_half[::2] = p[: bound // 2 + 1]
+    yield from zip(range(bound + 1), p, p2, p_half, phi_plus, phi_minus)
 
 
 class _RowTexts(dict):
@@ -258,9 +260,10 @@ class _RowTexts(dict):
         return text
 
 
-def _class_records(classes: Iterable) -> Iterator[tuple]:
-    """The records of ``classes``, each row tuple, of a symbol or of its
-    bipartition, formatted once through a dict local to the call.
+def _class_records(classes: Iterable, rank: int, defect: int) -> Iterator[tuple]:
+    """The records of ``classes``, all of the given rank and defect, each row
+    tuple, of a symbol or of its bipartition, formatted once through a dict
+    local to the call.
 
     Rows recur mostly among the classes of one weight of the bipartition's
     top row, which :func:`symbols.iter_classes` lists together, so the dict
@@ -268,14 +271,17 @@ def _class_records(classes: Iterable) -> Iterator[tuple]:
     rank 22, defect 2 it holds at most 1605 of the listing's 11 070
     distinct rows (kept, they took about 3 MB) and formats 19 944 of the
     140 008 rows looked up.  Any order of ``classes`` gives the same records.
+    Only a class of defect 0 can be special.
     """
     from biparts import symbols
 
     texts = _RowTexts()
     top_weight = None
+    special, degree = False, None
     for cls in classes:
-        special = symbols.is_special(cls)
-        degree = symbols.SpecialSymbol._of(cls).degree if special else None
+        if not defect:
+            special = symbols.is_special(cls)
+            degree = symbols.SpecialSymbol._of(cls).degree if special else None
         bipartition = symbols.to_bipartition(cls)
         top, bottom = bipartition.top.parts, bipartition.bottom.parts
         weight = sum(top)
@@ -284,8 +290,8 @@ def _class_records(classes: Iterable) -> Iterator[tuple]:
             top_weight = weight
         yield (
             f"{texts[cls.top]};{texts[cls.bottom]}",
-            cls.rank,
-            cls.defect,
+            rank,
+            defect,
             f"{texts[top]}|{texts[bottom]}",
             special,
             degree,
@@ -297,7 +303,7 @@ def _cmd_symbols_enumerate(args) -> Outcome:
 
     # iter_classes refuses past the cap before anything is written
     classes = symbols.iter_classes(args.rank, args.defect)
-    return _records(_class_records(classes), args.format, CLASS_COLUMNS)
+    return _records(_class_records(classes, args.rank, args.defect), args.format, CLASS_COLUMNS)
 
 
 def _cmd_symbols_family(args) -> Outcome:

@@ -46,6 +46,7 @@ class CheckReport:
         elapsed: float = 0.0,
         children: list[CheckReport] | None = None,
         note: str = "",
+        compared: int | None = None,
     ):
         self.name = name
         self.bound = bound
@@ -54,6 +55,7 @@ class CheckReport:
         self.elapsed = elapsed
         self.children = [] if children is None else children
         self.note = note
+        self.compared = compared  # triples a leaf compared; None on an aggregate
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -63,6 +65,8 @@ class CheckReport:
             bits.append(f"[{self.elapsed:.2f}s]")
         if self.note:
             bits.append(f"- {self.note}")
+        if self.compared == 0:
+            bits.append("- compared nothing")
         lines = [" ".join(bits)]
         if self.mismatch is not None:
             lines.append(f"{pad}      {self.mismatch.describe()}")
@@ -77,6 +81,8 @@ class CheckReport:
             "passed": self.passed,
             "elapsed": self.elapsed,
         }
+        if self.compared is not None:
+            out["compared"] = self.compared
         if self.note:
             out["note"] = self.note
         if self.mismatch is not None:
@@ -146,8 +152,9 @@ class Recorder:
         in 0..bound, or for a pair have q in 0..bound and any z, else
         FaultError.  It fires on the first triple at its location, which then
         differs, so a location never streamed is never faulted; ``fired``
-        counts each firing.  The leaf report, noted with ``title``, gets the
-        time since the previous leaf.
+        counts each firing.  The leaf report, noted with ``title``, counts the
+        triples compared, up to and including a mismatch, and gets the time
+        since the previous leaf.
         """
         scalar = kind != "q,z"
         fault = self.fault
@@ -161,7 +168,8 @@ class Recorder:
             raise FaultError(f"fault location {where} is outside {fault.target} ({shape})")
         on_lhs = fault is not None and fault.target.endswith(".lhs")
         mismatch = None
-        for where, lhs, rhs in pairs:
+        compared = 0
+        for compared, (where, lhs, rhs) in enumerate(pairs, 1):
             at = (where,) if scalar else where
             if fault is not None and fault.location == at:
                 self.fired += 1
@@ -174,4 +182,6 @@ class Recorder:
                 break
         now = time.perf_counter()
         elapsed, self._lap = now - self._lap, now
-        return CheckReport(check_id, bound, mismatch is None, mismatch, elapsed, note=title)
+        return CheckReport(
+            check_id, bound, mismatch is None, mismatch, elapsed, note=title, compared=compared
+        )

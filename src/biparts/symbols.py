@@ -145,20 +145,24 @@ class SymbolClass(Symbol):
         return SymbolClass(Symbol.parse(text))
 
 
-def _staircase_strip(row: tuple[int, ...]) -> Partition:
-    parts = tuple(map(operator.sub, row, range(len(row) - 1, -1, -1)))
-    # a strictly decreasing row less the staircase is weakly decreasing and
-    # nonnegative, so its zeros are a suffix
-    return Partition._of(parts[: len(parts) - parts.count(0)])
-
-
 def to_bipartition(symbol: Symbol) -> Bipartition:
     """Staircase subtraction: rows minus (m-1, ..., 1, 0), zeros dropped.
 
     Constant on similarity classes; the image of a rank-n, defect-d class is
     a bipartition of n - floor((d/2)^2).
     """
-    return Bipartition._of(_staircase_strip(symbol.top), _staircase_strip(symbol.bottom))
+    top, bottom = symbol.top, symbol.bottom
+    # a strictly decreasing row less the staircase is weakly decreasing and
+    # nonnegative, so its zeros are a suffix
+    top = tuple(map(operator.sub, top, range(len(top) - 1, -1, -1)))
+    bottom = tuple(map(operator.sub, bottom, range(len(bottom) - 1, -1, -1)))
+    top_partition = object.__new__(Partition)
+    top_partition.parts = top[: len(top) - top.count(0)]
+    bottom_partition = object.__new__(Partition)
+    bottom_partition.parts = bottom[: len(bottom) - bottom.count(0)]
+    image = object.__new__(Bipartition)
+    image.top, image.bottom = top_partition, bottom_partition
+    return image
 
 
 def from_bipartition(bipartition: Bipartition, defect: int = 0) -> SymbolClass:
@@ -169,18 +173,20 @@ def from_bipartition(bipartition: Bipartition, defect: int = 0) -> SymbolClass:
     zeros, and adds the staircases back.
     """
     top, bottom = bipartition.top.parts, bipartition.bottom.parts
-    m_bottom = max(len(bottom), len(top) - defect, -defect)
-    m_top = m_bottom + defect
-    padded_top = top + (0,) * (m_top - len(top))
-    padded_bottom = bottom + (0,) * (m_bottom - len(bottom))
+    m_top, m_bottom = len(top), len(bottom)
     # a weakly decreasing row plus the staircase is strictly decreasing, and
-    # the symbol is reduced: the bottom row is padded only when m_bottom
-    # exceeds len(bottom), and then m_top = len(top), so the top row is not
-    # padded and does not end in 0
-    return SymbolClass._of(
-        tuple(map(operator.add, padded_top, range(m_top - 1, -1, -1))),
-        tuple(map(operator.add, padded_bottom, range(m_bottom - 1, -1, -1))),
-    )
+    # it ends in 0 only if it was padded; only the row too short for the
+    # defect is padded, so the class is reduced
+    if m_top - defect > m_bottom:
+        m_bottom = m_top - defect
+        bottom += (0,) * (m_bottom - len(bottom))
+    else:
+        m_top = m_bottom + defect
+        top += (0,) * (m_top - len(top))
+    cls = object.__new__(SymbolClass)
+    cls.top = tuple(map(operator.add, top, range(m_top - 1, -1, -1)))
+    cls.bottom = tuple(map(operator.add, bottom, range(m_bottom - 1, -1, -1)))
+    return cls
 
 
 def defect_offset(defect: int) -> int:
@@ -296,17 +302,21 @@ class SpecialSymbol:
         refuse_past_cap(lambda k: 4**k, self.degree, "4^")
         common = self.common
         # a member's top row keeps the common entries, the unmoved top
-        # singles and the moved bottom singles; its bottom row the rest
-        tops = _row_halves(self.singles.top)
+        # singles and the moved bottom singles; its bottom row the rest, so
+        # each top half carries the common entries on both sides
+        tops = [
+            (moved, common + kept, common + moved)
+            for kept, moved in _row_halves(self.singles.top)
+        ]
         bottoms = _row_halves(self.singles.bottom)
 
         def member(top_half, bottom_half) -> FamilyMember:
-            (kept_top, moved_top), (kept_bottom, moved_bottom) = top_half, bottom_half
+            (moved_top, top_row, bottom_row), (kept_bottom, moved_bottom) = top_half, bottom_half
             return FamilyMember(
                 Symbol._of(moved_top, moved_bottom),
                 Symbol._of(
-                    tuple(sorted(common + kept_top + moved_bottom, reverse=True)),
-                    tuple(sorted(common + moved_top + kept_bottom, reverse=True)),
+                    tuple(sorted(top_row + moved_bottom, reverse=True)),
+                    tuple(sorted(bottom_row + kept_bottom, reverse=True)),
                 ),
             )
 

@@ -471,9 +471,9 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     The last two agree only if every member obeys the defect law, no class
     is reached twice and every class is reached.
 
-    A rank's classes are held once, in one set: each class a law-obeying
-    member reaches is discarded from it, and the number reached is the
-    number of classes less what is left.
+    A rank's classes are held once, in one set keyed by their (top, bottom)
+    rows: each class a law-obeying member reaches is discarded from it, and
+    the number reached is the number of classes less what is left.
     """
     from biparts import symbols
 
@@ -481,8 +481,12 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
     children = []
     for n in range(bound + 1):
         zero = symbols.enumerate_classes(n, 0)
-        classes = set(zero).union(
-            *(symbols.enumerate_classes(n, d) for d in symbols.class_counts(n) if d)
+        classes = {(cls.top, cls.bottom) for cls in zero}
+        classes.update(
+            (cls.top, cls.bottom)
+            for d in symbols.class_counts(n)
+            if d
+            for cls in symbols.enumerate_classes(n, d)
         )
         specials = map(symbols.SpecialSymbol._of, filter(symbols.is_special, zero))
         children.append(
@@ -497,23 +501,24 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
 
 
 def _family_triples(
-    n: int, specials: Iterator[symbols.SpecialSymbol], classes: set[symbols.SymbolClass]
+    n: int, specials: Iterator[symbols.SpecialSymbol], classes: set[tuple[tuple, tuple]]
 ) -> Iterator[tuple[int, int, int]]:
     """The compared triples of ``families.n{n}``, made one family at a time
     so that a rank's families are never all in memory together.
 
-    ``classes`` is emptied of every class reached."""
+    ``classes`` holds the (top, bottom) rows of the rank's classes and is
+    emptied of every class reached."""
     total = len(classes)
     size_total = 0
     for special in specials:
         family = special.family()
         size_total += len(family)
-        # every member is reduced, so it equals and hashes as its class; the
-        # defect law, defect(symbol) = -2 * defect(moved subset), in row lengths
+        # every member is reduced, so its rows are its class's; the defect
+        # law, defect(symbol) = -2 * defect(moved subset), in row lengths
         lawful, lawless = set(), set()
         for moved, symbol in family:
             law = len(symbol.top) - len(symbol.bottom) == 2 * (len(moved.bottom) - len(moved.top))
-            (lawful if law else lawless).add(symbol)
+            (lawful if law else lawless).add((symbol.top, symbol.bottom))
         yield n, len(lawful | lawless), 4**special.degree
         classes.difference_update(lawful)
     yield n, size_total, total

@@ -178,6 +178,8 @@ def test_criterion_9_verify_all_and_fault_injection():
     clean = run_cli("verify", "all")
     assert clean.returncode == 0, clean.stdout + clean.stderr
     assert "FAIL" not in clean.stdout
+    # at the default bounds every leaf compares at least one pair
+    assert "compared nothing" not in clean.stdout
 
     faults = [
         ("firstproof", "100", "firstproof.identity.lhs:7", "first mismatch at index 7"),

@@ -160,6 +160,32 @@ def test_class_listing_tests_each_class_once_for_specialness(capsys, monkeypatch
     assert len(set(tested)) == len(tested)
 
 
+@pytest.mark.parametrize("rank, defect", [(12, 0), (12, 2), (13, -4), (22, 2)])
+def test_class_columns_are_the_class_own_values(capsys, rank, defect):
+    # the listing takes rank and defect from the request and tests only
+    # defect 0 for specialness; each record must still state its class
+    code, out = run_cli(
+        capsys, "symbols", "enumerate", "--rank", str(rank), "--defect", str(defect), "--format", "json"
+    )
+    assert code == 0
+    records = json.loads(out)
+    assert len(records) == partitions.bipartition_count(rank - symbols.defect_offset(defect))
+    for record in records:
+        cls = symbols.SymbolClass.parse(record["symbol"])
+        special = symbols.is_special(cls)
+        degree = symbols.SpecialSymbol(cls).degree if special else None
+        assert (record["rank"], record["defect"]) == (cls.rank, cls.defect)
+        assert (record["special"], record["degree"]) == (special, degree)
+
+
+def test_table_p_half_is_the_degenerate_count(capsys):
+    code, out = run_cli(capsys, "table", "--max", "500", "--format", "json")
+    assert code == 0
+    assert [row["p_half"] for row in json.loads(out)] == [
+        partitions.degenerate_count(n) for n in range(501)
+    ]
+
+
 def test_text_columns_are_as_wide_as_their_rendered_cells():
     # None renders as "-", so column a is one character wide, not four
     out = io.StringIO()
@@ -624,6 +650,40 @@ class TestVerify:
         assert code == 1
         assert f"FAIL  {leaf} (bound=25)" in out
         assert f"first mismatch at {where}" in out
+
+    @staticmethod
+    def leaves(report: dict) -> list[dict]:
+        children = report.get("children", [])
+        return [leaf for child in children for leaf in TestVerify.leaves(child)] or [report]
+
+    def test_every_leaf_states_what_it_compared(self, capsys):
+        code, out = run_cli(capsys, "verify", "all", "--max", "22", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)
+        leaves = [leaf for report in reports for leaf in self.leaves(report)]
+        assert len(leaves) == 39
+        assert all(leaf["compared"] >= 1 for leaf in leaves), leaves
+        # an aggregate reports no count of its own
+        assert all("compared" not in r for r in reports if r.get("children"))
+
+    @pytest.mark.parametrize(
+        "bound, vacuous",
+        [
+            (0, ["congruence.bipartition", "congruence.partition"]),
+            (1, ["congruence.bipartition", "congruence.partition"]),
+            (3, ["congruence.partition"]),
+            (4, []),
+        ],
+    )
+    def test_a_leaf_that_compares_nothing_says_so(self, capsys, bound, vacuous):
+        code, out = run_cli(capsys, "verify", "all", "--max", str(bound), "--format", "json")
+        assert code == 0
+        leaves = [leaf for report in json.loads(out) for leaf in self.leaves(report)]
+        assert [leaf["name"] for leaf in leaves if leaf["compared"] == 0] == vacuous
+        code, out = run_cli(capsys, "verify", "congruence", "--max", str(bound))
+        assert code == 0
+        said = [line.split()[1] for line in out.splitlines() if line.endswith(" - compared nothing")]
+        assert said == vacuous
 
     def test_thm1_time_is_in_enumeration(self, capsys):
         code, out = run_cli(capsys, "verify", "all", "--max", "22", "--format", "json")

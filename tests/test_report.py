@@ -3,7 +3,7 @@ report."""
 
 from __future__ import annotations
 
-from biparts.report import CheckReport, Mismatch, combine
+from biparts.report import CheckReport, Fault, Mismatch, Recorder, combine
 
 
 def test_reports_built_without_children_do_not_share_a_list():
@@ -43,3 +43,29 @@ def test_mismatch_fields_and_description():
     assert mismatch.describe() == "first mismatch at q^3 z^-1: 5 != 7"
     assert Mismatch((4,), 1, 0, "n").describe() == "first mismatch at n=4: 1 != 0"
     assert Mismatch((2,), 1, 0, "index").describe() == "first mismatch at index 2: 1 != 0"
+
+
+def test_compare_counts_the_triples_it_compared():
+    recorder = Recorder()
+    leaf = recorder.compare("a", "title", 9, ((n, n, n) for n in range(7)))
+    assert (leaf.passed, leaf.compared) == (True, 7)
+    assert leaf.to_dict()["compared"] == 7
+    assert "compared nothing" not in leaf.render()
+    # the count stops at the first mismatch, which it includes
+    leaf = recorder.compare("a", "title", 9, ((n, n, n + (n == 3)) for n in range(7)))
+    assert (leaf.passed, leaf.compared) == (False, 4)
+    # a faulted triple is compared like any other
+    faulted = Recorder(Fault("a.lhs", (2,), 1)).compare("a", "title", 9, [(n, 0, 0) for n in range(5)])
+    assert (faulted.passed, faulted.compared) == (False, 3)
+
+
+def test_a_leaf_that_compares_nothing_says_so():
+    leaf = Recorder().compare("a", "title", 0, iter(()))
+    assert (leaf.passed, leaf.compared) == (True, 0)
+    assert leaf.to_dict()["compared"] == 0
+    line = leaf.render()
+    assert line.startswith("PASS  a (bound=0) [") and line.endswith("s] - title - compared nothing")
+    # an aggregate carries no count of its own
+    aggregate = combine("b", 0, [leaf])
+    assert aggregate.compared is None and "compared" not in aggregate.to_dict()
+    assert "compared nothing" not in aggregate.render().splitlines()[0]

@@ -230,9 +230,9 @@ class TestBijection:
         row = tuple(sorted(entries, reverse=True))
         staircase = range(len(row) - 1, -1, -1)
         filtered = tuple([p for p in map(operator.sub, row, staircase) if p > 0])
-        stripped = symbols._staircase_strip(row)
-        assert type(stripped) is Partition
-        assert stripped.parts == filtered
+        for image in (to_bipartition(Symbol(row, ())), to_bipartition(Symbol((), row)).transpose()):
+            assert type(image.top) is Partition and image.bottom.parts == ()
+            assert image.top.parts == filtered
 
     def test_image_is_class_invariant(self):
         s = Symbol.parse("3,1;2,0")
@@ -248,6 +248,38 @@ class TestBijection:
             bp = to_bipartition(cls)
             assert bp.weight == weight
             assert from_bipartition(bp, d) == cls
+
+    @staticmethod
+    def assert_lawful_image(bp: Bipartition, d: int) -> None:
+        """from_bipartition(bp, d) is a valid reduced class of rank |bp| +
+        floor(d^2/4) and defect d that to_bipartition maps back to bp."""
+        cls = from_bipartition(bp, d)
+        assert type(cls) is SymbolClass
+        again = Symbol(cls.top, cls.bottom)  # validates both rows
+        assert again.is_reduced
+        assert (again.rank, again.defect) == (bp.weight + defect_offset(d), d)
+        assert (cls.rank, cls.defect) == (again.rank, again.defect)
+        back = to_bipartition(cls)
+        assert (back.top.parts, back.bottom.parts) == (bp.top.parts, bp.bottom.parts)
+        assert type(back.top) is type(back.bottom) is Partition
+
+    @pytest.mark.parametrize("d", range(-8, 9))
+    def test_every_small_bipartition_at_every_defect(self, d):
+        for weight in range(11):
+            for bp in partitions.iter_bipartitions(weight):
+                self.assert_lawful_image(bp, d)
+
+    @given(
+        st.lists(st.integers(1, 30), max_size=12),
+        st.lists(st.integers(1, 30), max_size=12),
+        st.integers(-20, 20),
+    )
+    @settings(max_examples=300)
+    def test_random_bipartitions_at_random_defects(self, top, bottom, d):
+        bp = Bipartition(
+            Partition(sorted(top, reverse=True)), Partition(sorted(bottom, reverse=True))
+        )
+        self.assert_lawful_image(bp, d)
 
     def test_weight_law(self):
         for text in RANK4_DEFECT2:
@@ -671,6 +703,23 @@ class TestChecks:
         assert not enumeration.passed
         assert enumeration.mismatch.location == (5,)
         assert enumeration.mismatch.lhs == enumeration.mismatch.rhs + 1
+
+    @pytest.mark.parametrize("rank, defect", [(5, -2), (6, 2), (8, 4), (7, -4)])
+    def test_a_lost_class_fails_its_family_leaf(self, monkeypatch, rank, defect):
+        # the families still reach the lost class, so the family sizes sum
+        # to one more than the classes listed
+        original = symbols.enumerate_classes
+
+        def lossy(n, d):
+            classes = original(n, d)
+            return classes[1:] if (n, d) == (rank, defect) else classes
+
+        monkeypatch.setattr(symbols, "enumerate_classes", lossy)
+        report = check_family_partition(8, Recorder())
+        assert [c.name for c in report.children if not c.passed] == [f"families.n{rank}"]
+        leaf = report.children[rank]
+        total = sum(class_counts(rank).values())
+        assert (leaf.mismatch.lhs, leaf.mismatch.rhs) == (total, total - 1)
 
     def test_family_partition(self):
         report = check_family_partition(8, Recorder())
