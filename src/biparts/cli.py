@@ -7,15 +7,14 @@ Each command imports the modules it runs when it runs, so a fresh process
 loads only those: ``p`` the Rademacher series, ``p2`` the count tables,
 ``table`` and ``symbols`` the tables and the symbols, ``verify`` the
 harness and the series engine, and the symbols or the Rademacher series only
-for the checks that use them.
+for the checks that use them.  ``json`` and ``csv`` are imported only where
+JSON or CSV is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import json
 import os
 import sys
 from itertools import islice
@@ -150,14 +149,7 @@ def _emit(write: Callable[[TextIO], object], out: str | None) -> None:
             raise argparse.ArgumentError(None, f"cannot write {where}: {exc.strerror}")
 
 
-#: Encodes a list of flat records, tuples of scalars, as
-#: ``[[v1,\n    v2],\n    [v1,\n    v2]]``: each record's values in the layout
-#: of an entry of ``json.dumps(records, indent=2)``, encoded in C, since json
-#: does so only without ``indent``.  An encoded string holds no newline, so
-#: splitting on ``],\n    [`` gives the records and on ``,\n    `` their values.
-_encode_record = json.JSONEncoder(separators=(",\n    ", ": ")).encode
-
-#: Records encoded by one :data:`_encode_record` call in a JSON listing.
+#: Records encoded by one encoder call in a JSON listing.
 CHUNK = 1024
 
 #: Characters collected before a write: stdout flushes every write when
@@ -210,18 +202,27 @@ def _write_records(
         return
     blocks = _Blocks(out)
     if fmt == "csv":
+        import csv
+
         writer = csv.writer(blocks, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(records)
     else:
+        import json
+
+        # encodes a list of flat records, tuples of scalars, as
+        # [[v1,\n    v2],\n    [v1,\n    v2]]: each record's values in the
+        # layout of an entry of json.dumps(records, indent=2), encoded in C,
+        # since json does so only without indent.  An encoded string holds no
+        # newline, so splitting on '],\n    [' gives the records and on
+        # ',\n    ' their values.
+        encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
         # one '"key": %s' slot per column, filled with each record's values
-        template = ",\n    ".join(
-            _encode_record(key).replace("%", "%%") + ": %s" for key in columns
-        )
+        template = ",\n    ".join(encode(key).replace("%", "%%") + ": %s" for key in columns)
         opening, closing = "[\n  {\n    ", "[]\n"
         records = iter(records)
         while chunk := list(islice(records, CHUNK)):
-            for values in _encode_record(chunk)[2:-2].split("],\n    ["):
+            for values in encode(chunk)[2:-2].split("],\n    ["):
                 blocks.write(opening + template % tuple(values.split(",\n    ")))
                 opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
         blocks.write(closing)
@@ -323,6 +324,8 @@ def _cmd_symbols_counts(args) -> Outcome:
 
     counts = symbols.class_counts(args.rank)
     if args.format == "json":
+        import json
+
         text = json.dumps({str(d): c for d, c in counts.items()}) + "\n"
         return 0, lambda out: out.write(text)
     return _records(counts.items(), args.format, COUNT_COLUMNS)
@@ -355,6 +358,8 @@ def _cmd_verify(args) -> Outcome:
             "no comparison that ran taps that target and location"
         )
     if args.format == "json":
+        import json
+
         text = json.dumps([report.to_dict() for report in reports], indent=2) + "\n"
     else:
         # each report is rendered in full before any of it is written, so

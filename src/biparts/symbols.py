@@ -223,15 +223,12 @@ def is_special(symbol: Symbol) -> bool:
     The property is shift-invariant, so testing any representative of a
     class gives the class-level answer.
     """
-    if symbol.defect != 0:
-        return False
-    for a, b in zip(symbol.top, symbol.bottom):
-        if a < b:
-            return False
-    for i in range(len(symbol.top) - 1):
-        if symbol.bottom[i] < symbol.top[i + 1]:
-            return False
-    return True
+    top, bottom = symbol.top, symbol.bottom
+    return (
+        len(top) == len(bottom)
+        and all(map(operator.ge, top, bottom))
+        and all(map(operator.ge, bottom, top[1:]))
+    )
 
 
 def _row_halves(row: tuple[int, ...]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -312,13 +309,14 @@ class SpecialSymbol:
 
         def member(top_half, bottom_half) -> FamilyMember:
             (moved_top, top_row, bottom_row), (kept_bottom, moved_bottom) = top_half, bottom_half
-            return FamilyMember(
-                Symbol._of(moved_top, moved_bottom),
-                Symbol._of(
-                    tuple(sorted(top_row + moved_bottom, reverse=True)),
-                    tuple(sorted(bottom_row + kept_bottom, reverse=True)),
-                ),
-            )
+            # both symbols and the member are made without the Python-level
+            # constructors: the rows are strictly decreasing by construction
+            subset = object.__new__(Symbol)
+            subset.top, subset.bottom = moved_top, moved_bottom
+            symbol = object.__new__(Symbol)
+            symbol.top = tuple(sorted(top_row + moved_bottom, reverse=True))
+            symbol.bottom = tuple(sorted(bottom_row + kept_bottom, reverse=True))
+            return tuple.__new__(FamilyMember, (subset, symbol))
 
         # v = (top half << degree) | bottom half, so the bottom half runs fastest
         return itertools.starmap(member, itertools.product(tops, bottoms))

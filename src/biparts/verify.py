@@ -40,17 +40,26 @@ def check_partition_recursion(bound: int, recorder: Recorder) -> CheckReport:
 BIPARTITION_ENUM_BOUND = 25
 
 
-def _bipartition_tallies(n: int) -> tuple[int, int]:
-    """(all, degenerate) bipartitions of n, by visiting every (top, bottom)
-    pair of partition tuples; a pair is degenerate when its rows are equal."""
-    total = fixed = 0
-    for a in range(n, -1, -1):
-        bottoms = list(partitions._partition_tuples(n - a))
-        for top in partitions._partition_tuples(a):
-            for bottom in bottoms:
-                total += 1
-                fixed += top == bottom
-    return total, fixed
+def _bipartition_tallies(bound: int) -> list[tuple[int, int]]:
+    """(all, degenerate) bipartitions of each n <= bound, indexed by n.
+
+    The partition tuples of each weight up to the bound are listed once.
+    For each n and each top row of weight a, the bottom rows of weight
+    n - a add their number to the total, and ``list.count``, which compares
+    every (top, bottom) pair in C, adds those equal to the top, the
+    degenerate pairs.
+    """
+    rows = [list(partitions._partition_tuples(w)) for w in range(bound + 1)]
+    tallies = []
+    for n in range(bound + 1):
+        total = fixed = 0
+        for a in range(n + 1):
+            bottoms = rows[n - a]
+            for top in rows[a]:
+                total += len(bottoms)
+                fixed += bottoms.count(top)
+        tallies.append((total, fixed))
+    return tallies
 
 
 def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
@@ -67,7 +76,7 @@ def check_bipartition_recursion(bound: int, recorder: Recorder) -> CheckReport:
     )
     # the enumeration pass runs before the next leaf, so its time is
     # thm1.enumeration's
-    tallies = [_bipartition_tallies(n) for n in range(enum_bound + 1)]
+    tallies = _bipartition_tallies(enum_bound)
     children = [
         convolution,
         recorder.compare(

@@ -25,6 +25,7 @@ from biparts.cli import (
     _write_records,
     main,
 )
+from biparts.report import Recorder
 
 
 def run_cli(capsys, *argv):
@@ -665,6 +666,42 @@ class TestVerify:
         assert all(leaf["compared"] >= 1 for leaf in leaves), leaves
         # an aggregate reports no count of its own
         assert all("compared" not in r for r in reports if r.get("children"))
+
+    def test_every_leaf_is_tappable_on_both_sides(self, capsys):
+        # each leaf of verify all --max 22, at the last location it streams
+        # there: its check, run alone at the leaf's bound, fails at exactly
+        # that location for a fault on either side
+        class LastLocations(Recorder):
+            def compare(self, check_id, title, bound, pairs, kind="n"):
+                def tap(pairs):
+                    for triple in pairs:
+                        last[check_id] = triple[0]
+                        yield triple
+
+                return super().compare(check_id, title, bound, tap(pairs), kind)
+
+        last = {}
+        code, out = run_cli(capsys, "verify", "all", "--max", "22", "--format", "json")
+        assert code == 0
+        leaves = [leaf for report in json.loads(out) for leaf in self.leaves(report)]
+        assert len(leaves) == 39
+        verify.run_all(22, LastLocations())
+        assert sorted(last) == sorted(leaf["name"] for leaf in leaves)
+        for leaf in leaves:
+            name = leaf["name"]
+            location = list(last[name]) if isinstance(last[name], tuple) else [last[name]]
+            where = ",".join(map(str, location))
+            for side in ("lhs", "rhs"):
+                code, out = run_cli(
+                    capsys,
+                    "verify", name.partition(".")[0], "--max", str(leaf["bound"]),
+                    "--inject-fault", f"{name}.{side}:{where}", "--format", "json",
+                )
+                assert code == 1, (name, side)
+                [report] = json.loads(out)
+                assert report["mismatch"]["location"] == location, (name, side)
+                [tapped] = [node for node in self.leaves(report) if not node["passed"]]
+                assert tapped["name"] == name, (name, side)
 
     @pytest.mark.parametrize(
         "bound, vacuous",

@@ -65,9 +65,10 @@ def test_only_verify_compares_and_combines():
 
 
 def loaded_modules(code: str, *argv: str) -> list[str]:
-    """The ``biparts*`` and ``dataclasses`` modules a fresh process has
-    loaded after running ``code`` with arguments ``argv``."""
-    probe = "\nprint(*sorted(m for m in sys.modules if m.startswith(('biparts', 'dataclasses'))))"
+    """The ``biparts*``, ``dataclasses``, ``json*`` and ``csv`` modules a
+    fresh process has loaded after running ``code`` with arguments ``argv``."""
+    prefixes = ("biparts", "dataclasses", "json", "csv")
+    probe = f"\nprint(*sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
     argv = [sys.executable, "-c", f"import sys\n{code}{probe}", *argv]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
@@ -135,14 +136,21 @@ if sys.argv[1:]:
 #: inspect, ast, dis and tokenize) are loaded only by the commands that run them.
 HEAVY = {"biparts.verify", "biparts.series", "dataclasses"}
 
+#: The writers of JSON and CSV output, loaded only by the commands that write them.
+WRITERS = {"json", "csv"}
+
 #: command line -> (modules it must load, modules it must not load)
 STARTUP = {
-    "": ({"biparts.cli"}, HEAVY | {"biparts.symbols"}),
-    "p 5": ({"biparts.rademacher"}, HEAVY | {"biparts.symbols"}),
-    "p2 5": ({"biparts.partitions"}, HEAVY | {"biparts.symbols", "biparts.rademacher"}),
-    "table --max 3": ({"biparts.symbols"}, HEAVY | {"biparts.rademacher"}),
-    "symbols enumerate --rank 4 --defect 2": ({"biparts.symbols"}, HEAVY | {"biparts.rademacher"}),
-    "verify euler --max 3": ({"biparts.verify", "biparts.series"}, set()),
+    "": ({"biparts.cli"}, HEAVY | WRITERS | {"biparts.symbols"}),
+    "p 5": ({"biparts.rademacher"}, HEAVY | WRITERS | {"biparts.symbols"}),
+    "p2 5": ({"biparts.partitions"}, HEAVY | WRITERS | {"biparts.symbols", "biparts.rademacher"}),
+    "table --max 3": ({"biparts.symbols"}, HEAVY | WRITERS | {"biparts.rademacher"}),
+    "table --max 3 --format csv": ({"biparts.symbols", "csv"}, HEAVY | {"biparts.rademacher", "json"}),
+    "symbols enumerate --rank 4 --defect 2": (
+        {"biparts.symbols"},
+        HEAVY | WRITERS | {"biparts.rademacher"},
+    ),
+    "verify euler --max 3": ({"biparts.verify", "biparts.series"}, WRITERS),
     # verify imports the symbols and the Rademacher series only in the checks
     # that use them
     "verify lemma22 --max 1": (

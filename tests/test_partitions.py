@@ -227,9 +227,45 @@ class TestThm1Enumeration:
 
     @pytest.mark.parametrize("n", range(26))
     def test_tallies_count_every_and_every_degenerate_bipartition(self, n):
-        items = list(iter_bipartitions(n))
+        items = enumerate_bipartitions(n)
         degenerate = sum(b.is_degenerate for b in items)
-        assert verify._bipartition_tallies(n) == (len(items), degenerate)
+        assert verify._bipartition_tallies(n)[n] == (len(items), degenerate)
+
+    def test_tallies_equal_the_pair_loop(self):
+        # every (top, bottom) pair visited one at a time, as a reference for
+        # the counts taken over whole lists of bottoms
+        def pair_loop(n):
+            total = fixed = 0
+            for a in range(n, -1, -1):
+                bottoms = list(partitions._partition_tuples(n - a))
+                for top in partitions._partition_tuples(a):
+                    for bottom in bottoms:
+                        total += 1
+                        fixed += top == bottom
+            return total, fixed
+
+        assert verify._bipartition_tallies(25) == [pair_loop(n) for n in range(26)]
+        assert verify._bipartition_tallies(0) == [(1, 1)]
+
+    @pytest.mark.parametrize("weight, dropped", [(1, 0), (4, 2), (7, 0), (9, 14), (12, -1)])
+    def test_a_lost_partition_fails_enumeration_at_its_weight(self, monkeypatch, weight, dropped):
+        # the tuples of each weight are listed once, so a lost one is missing
+        # from every n >= weight; the first mismatch is at n = weight
+        listed = partitions._partition_tuples
+
+        def lossy(n):
+            rows = list(listed(n))
+            if n == weight:
+                del rows[dropped]
+            return iter(rows)
+
+        monkeypatch.setattr(partitions, "_partition_tuples", lossy)
+        report = check_bipartition_recursion(20, Recorder())
+        leaf = report.children[1]
+        assert (leaf.name, leaf.passed) == ("thm1.enumeration", False)
+        assert leaf.mismatch.location == (weight,)
+        # the lost tuple was the top of one pair and the bottom of another
+        assert leaf.mismatch.lhs == leaf.mismatch.rhs + 2
 
     def test_leaves_keep_ids_and_bounds(self, monkeypatch):
         monkeypatch.setattr(verify, "BIPARTITION_ENUM_BOUND", 12)

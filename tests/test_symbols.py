@@ -380,6 +380,35 @@ class TestSpecials:
         assert sorted(data.common) == [1, 2]
         assert SpecialSymbol(Symbol.parse("4,1;1,0")).common == (1,)
 
+    @staticmethod
+    def loop_is_special(symbol):
+        """The definition, one comparison at a time: the reference for
+        :func:`is_special`."""
+        if symbol.defect != 0:
+            return False
+        for a, b in zip(symbol.top, symbol.bottom):
+            if a < b:
+                return False
+        for i in range(len(symbol.top) - 1):
+            if symbol.bottom[i] < symbol.top[i + 1]:
+                return False
+        return True
+
+    def test_membership_equals_the_loop_on_every_small_class(self):
+        specials = 0
+        for n in range(13):
+            for d in class_counts(n):
+                for cls in enumerate_classes(n, d):
+                    assert is_special(cls) is self.loop_is_special(cls), str(cls)
+                    specials += is_special(cls)
+        assert specials == 767
+
+    @given(symbol_strategy(max_entry=8, max_len=4))
+    @settings(max_examples=200)
+    def test_membership_equals_the_loop_on_any_rows(self, symbol):
+        # unequal and empty rows included
+        assert is_special(symbol) is self.loop_is_special(symbol)
+
     @given(special_strategy())
     @settings(max_examples=80)
     def test_generated_specials(self, z):
@@ -467,6 +496,39 @@ class TestFamilies:
                 assert members == list(counter_members(z)), str(cls)
                 specials += 1
         assert specials == 1598
+
+    def test_members_are_valid_symbols_in_the_builder_order(self):
+        # every member of every special of rank <= 12 is a FamilyMember of two
+        # plain symbols that the validating constructor accepts, and the
+        # members come in the order of the constructor-built reference
+        def reference(z):
+            tops = [
+                (moved, z.common + kept, z.common + moved)
+                for kept, moved in symbols._row_halves(z.singles.top)
+            ]
+            for moved_top, top_row, bottom_row in tops:
+                for kept_bottom, moved_bottom in symbols._row_halves(z.singles.bottom):
+                    yield FamilyMember(
+                        Symbol(moved_top, moved_bottom),
+                        Symbol(
+                            sorted(top_row + moved_bottom, reverse=True),
+                            sorted(bottom_row + kept_bottom, reverse=True),
+                        ),
+                    )
+
+        members = 0
+        for n in range(13):
+            for cls in filter(is_special, enumerate_classes(n, 0)):
+                z = SpecialSymbol._of(cls)
+                family = z.family()
+                assert family == list(reference(z)), str(cls)
+                for member in family:
+                    assert type(member) is FamilyMember
+                    for part in member:
+                        assert type(part) is Symbol
+                        assert part == Symbol(part.top, part.bottom)
+                members += len(family)
+        assert members == 7970
 
 
 def interleaved_special(degree: int) -> Symbol:
