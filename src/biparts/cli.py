@@ -4,11 +4,13 @@ verification harness.
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Each command imports the modules it runs when it runs, so a fresh process
-loads only those: ``p`` the Rademacher series, ``p2`` the count tables,
-``table`` and ``symbols`` the tables and the symbols, ``verify`` the
-harness and the series engine, and the symbols or the Rademacher series only
-for the checks that use them.  ``json`` and ``csv`` are imported only where
-JSON or CSV is written.
+loads only those: ``p`` the Rademacher series, ``p2`` the count tables
+(``partitions`` and ``kernels``), ``table`` and ``symbols`` the tables and
+the symbols, ``verify`` the harness (with ``report``) and the series
+engine, and the symbols or the Rademacher series only for the checks that
+use them.  ``json`` and ``csv`` are imported only where JSON or CSV is
+written.  ``main`` imports no module for the errors it reports as usage
+errors (:data:`USAGE_ERRORS`).
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import contextlib
 import os
 import sys
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
-from biparts.partitions import EnumerationCapError, _format_row
-from biparts.report import Fault, FaultError, Recorder
+if TYPE_CHECKING:
+    from biparts.report import Fault
 
 FORMATS = ("text", "json", "csv")
 
@@ -254,10 +256,14 @@ def _table_records(bound: int) -> Iterator[tuple]:
 
 
 class _RowTexts(dict):
-    """Row tuple -> its text, each row formatted at its first lookup."""
+    """Row tuple -> its text by ``render``, each row rendered at its first
+    lookup."""
+
+    def __init__(self, render: Callable[[tuple[int, ...]], str]):
+        self.render = render
 
     def __missing__(self, row: tuple[int, ...]) -> str:
-        text = self[row] = _format_row(row)
+        text = self[row] = self.render(row)
         return text
 
 
@@ -275,8 +281,9 @@ def _class_records(classes: Iterable, rank: int, defect: int) -> Iterator[tuple]
     Only a class of defect 0 can be special.
     """
     from biparts import symbols
+    from biparts.partitions import _format_row
 
-    texts = _RowTexts()
+    texts = _RowTexts(_format_row)
     top_weight = None
     special, degree = False, None
     for cls in classes:
@@ -333,6 +340,8 @@ def _cmd_symbols_counts(args) -> Outcome:
 
 def _parse_fault(spec: str) -> Fault:
     """``TARGET:INDEX[:DELTA]``, INDEX being ``n`` or ``q,z``."""
+    from biparts.report import Fault, FaultError
+
     target, _, rest = spec.partition(":")
     index_text, _, delta_text = rest.partition(":")
     try:
@@ -346,6 +355,7 @@ def _parse_fault(spec: str) -> Fault:
 
 def _cmd_verify(args) -> Outcome:
     from biparts import verify
+    from biparts.report import FaultError, Recorder
 
     recorder = Recorder(_parse_fault(args.inject_fault) if args.inject_fault else None)
     if args.what == "all":
@@ -397,13 +407,31 @@ def _run(args) -> Outcome:
     return _cmd_verify(args)
 
 
+#: The errors that ``main`` reports as a usage error besides
+#: ``argparse.ArgumentError``, as (module, class name): a refusal past the
+#: enumeration cap and a malformed, out-of-range or unfired fault.
+USAGE_ERRORS = (("biparts.partitions", "EnumerationCapError"), ("biparts.report", "FaultError"))
+
+
+def _is_usage_error(exc: Exception) -> bool:
+    """Whether ``main`` reports ``exc`` as a usage error.  A class of a module
+    that this run never loaded cannot have been raised, so the modules are
+    looked up in ``sys.modules`` and never imported here."""
+    return isinstance(exc, argparse.ArgumentError) or any(
+        module in sys.modules and isinstance(exc, getattr(sys.modules[module], name))
+        for module, name in USAGE_ERRORS
+    )
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         code, write = _run(args)
         _emit(write, getattr(args, "out", None))
-    except (EnumerationCapError, FaultError, argparse.ArgumentError) as exc:
+    except Exception as exc:
+        if not _is_usage_error(exc):
+            raise
         parser.error(str(exc))
     return code
 

@@ -1,11 +1,13 @@
 """The hot counting and series kernels, in pure Python.
 
-Each kernel moves its work out of the interpreter.  The tables add far
-offsets as whole slices, the series product is one big-integer multiply
-(Kronecker substitution), the self-convolution is the truncated square
-through that product, the inverse is a Newton iteration over it, and a
-binomial fold is a single slice assignment over the part of the list past
-the zeros its caller vouches for.
+Each kernel moves its work out of the interpreter.  A table entry is one
+gathered sum: the entries its recurrence reads are fetched from the
+table's tail by one ``operator.itemgetter``, rebuilt only where an entry
+starts to use a new offset, and added by ``sum``.  The series product is
+one big-integer multiply (Kronecker substitution), the self-convolution is
+the truncated square through that product, the inverse is a Newton
+iteration over it, and a binomial fold is a single slice assignment over
+the part of the list past the zeros its caller vouches for.
 
 The series product and the inverse take a route from the shape of their
 operands, with no option to choose it.  A series in q^g (every nonzero
@@ -21,52 +23,51 @@ from __future__ import annotations
 from functools import partial
 from itertools import compress, count, islice, repeat
 from math import gcd, isqrt
-from operator import add, lt, mul, neg, sub
+from operator import add, itemgetter, lt, mul, neg, sub
 
 #: Name of the kernel implementation.  There is only this one; the constant
 #: stays because ``perfbench/run.py`` reads it for its warm-up and run header.
 BACKEND = "python"
 
-#: Block length of the blocked recurrences.  An offset of at least BLOCK
-#: reaches only entries of earlier blocks, so its terms for a whole block are
-#: added at once as a slice; only offsets below BLOCK run entry by entry.
-BLOCK = 1024
+
+def _gather(offsets: list) -> itemgetter:
+    """A getter of the entries ``offsets`` back from the end of a table, as
+    one sequence: table[-g] for each g in ``offsets``."""
+    if len(offsets) > 1:
+        return itemgetter(*map(neg, offsets))
+    # itemgetter of one index returns the entry itself, so one offset or
+    # none is read as a slice, which returns a list
+    if offsets:
+        return itemgetter(slice(-offsets[0], 1 - offsets[0] or None))
+    return itemgetter(slice(0))
 
 
-def _extend_blocked(
+def _extend_recurrence(
     table: list, upto: int, plus: list, minus: list, half: list | None = None
 ) -> None:
     """Grow ``table`` in place to index ``upto`` by a signed-offset recurrence.
 
     table[n] = S(n), or half[n/2] [n even] + 2 S(n) when ``half`` is given,
     where S(n) = sum of table[n - g] over g in ``plus`` minus the same sum
-    over ``minus`` (ascending positive offsets, terms with g > n omitted).
+    over ``minus`` (positive offsets, terms with g > n omitted).
+
+    Entry n is computed when the table holds n entries, so table[n - g] is
+    table[-g].  The offsets an entry uses change only at an entry whose
+    index is an offset; between two such entries each one is a single call
+    of the same two getters (:func:`_gather`) and two sums, all in C.
     """
     n = len(table)
-    near_plus = [g for g in plus if g < BLOCK]
-    near_minus = [g for g in minus if g < BLOCK]
-    far = ((plus[len(near_plus) :], add), (minus[len(near_minus) :], sub))
-    while n <= upto:
-        end = min(n + BLOCK, upto + 1)
-        acc = [0] * (end - n)
-        for offsets, op in far:
-            for g in offsets:
-                if g >= end:
-                    break
-                lo = max(n, g) - n
-                acc[lo:] = map(op, acc[lo:], table[n + lo - g : end - g])
-        for m, s in zip(range(n, end), acc):
-            for g in near_plus:
-                if g > m:
-                    break
-                s += table[m - g]
-            for g in near_minus:
-                if g > m:
-                    break
-                s -= table[m - g]
-            if half is not None:
-                s = s + s + (0 if m & 1 else half[m >> 1])
-            table.append(s)
+    ends = sorted({g for g in (*plus, *minus) if n < g <= upto} | {upto + 1})
+    for end in ends:
+        get_plus = _gather([g for g in plus if g <= n])
+        get_minus = _gather([g for g in minus if g <= n])
+        if half is None:
+            for _ in range(n, end):
+                table.append(sum(get_plus(table)) - sum(get_minus(table)))
+        else:
+            for m in range(n, end):
+                s = sum(get_plus(table)) - sum(get_minus(table))
+                table.append(s + s + (0 if m & 1 else half[m >> 1]))
         n = end
 
 
@@ -90,7 +91,7 @@ def extend_partition_table(table: list, upto: int) -> None:
         if g + k <= upto:
             target.append(g + k)
         k += 1
-    _extend_blocked(table, upto, plus, minus)
+    _extend_recurrence(table, upto, plus, minus)
 
 
 def extend_bipartition_table(table: list, ptable: list, upto: int) -> None:
@@ -101,7 +102,7 @@ def extend_bipartition_table(table: list, ptable: list, upto: int) -> None:
     cover index upto // 2.
     """
     squares = [k * k for k in range(1, isqrt(max(upto, 0)) + 1)]
-    _extend_blocked(table, upto, squares[0::2], squares[1::2], half=ptable)
+    _extend_recurrence(table, upto, squares[0::2], squares[1::2], half=ptable)
 
 
 def extend_self_convolution(out: list, src: list, upto: int) -> None:

@@ -14,7 +14,7 @@ from itertools import zip_longest
 
 import pytest
 
-from biparts import partitions, symbols, verify
+from biparts import cli, partitions, report, symbols, verify
 from biparts.cli import (
     BLOCK,
     CLASS_COLUMNS,
@@ -946,3 +946,29 @@ def test_drawn_command_lines_exit_honestly(capsys):
         assert code in (0, 2) or (code == 1 and "--inject-fault" in argv), argv
         seen.add(code)
     assert {0, 2} <= seen
+
+
+@pytest.mark.parametrize(
+    ("error", "usage"),
+    [
+        (partitions.EnumerationCapError("past the cap"), True),
+        (report.FaultError("never fired"), True),
+        (ValueError("a defect"), False),
+        (KeyError("a defect"), False),
+    ],
+    ids=["cap", "fault", "value", "key"],
+)
+def test_only_usage_errors_exit_2(monkeypatch, capsys, error, usage):
+    # main imports neither error class; any exception it does not report as
+    # a usage error escapes as it was raised
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_run", fail)
+    if usage:
+        run_cli_expect_usage_error("p", "5")
+        assert str(error) in capsys.readouterr().err
+    else:
+        with pytest.raises(type(error)) as excinfo:
+            main(["p", "5"])
+        assert excinfo.value is error

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,7 +39,7 @@ def naive_convolution(a: list[int], b: list[int], order: int) -> list[int]:
 
 
 def sequential_partition_table(table: list, upto: int) -> None:
-    """The entry-by-entry pentagonal recurrence the blocked kernel replaced."""
+    """The pentagonal recurrence, term by term in the interpreter."""
     n = len(table)
     plus, minus = [], []
     k = 1
@@ -68,7 +69,7 @@ def sequential_partition_table(table: list, upto: int) -> None:
 
 
 def sequential_bipartition_table(table: list, ptable: list, upto: int) -> None:
-    """The entry-by-entry square recurrence the blocked kernel replaced."""
+    """The square recurrence, term by term in the interpreter."""
     n = len(table)
     while n <= upto:
         acc = ptable[n >> 1] if not (n & 1) else 0
@@ -102,14 +103,37 @@ def loop_fold_binomial(vec: list, j: int) -> None:
         vec[i] -= vec[i - j]
 
 
-B = kernels.BLOCK
-ONE_SHOT_SIZES = (0, 1, B - 1, B, B + 1, 3 * B + 7)
-GROWTH_STEPS = (1, 7, B - 1, B + 1, 5000)
+def pentagonal_offsets(upto: int) -> list[int]:
+    """The offsets k(3k - 1)/2 and k(3k + 1)/2, k >= 1, of the p recurrence
+    up to ``upto``, ascending."""
+    offsets = []
+    k = 1
+    while (k * (3 * k - 1)) >> 1 <= upto:
+        offsets += [(k * (3 * k - 1)) >> 1, (k * (3 * k + 1)) >> 1]
+        k += 1
+    return [g for g in offsets if g <= upto]
+
+
+def square_offsets(upto: int) -> list[int]:
+    """The offsets k^2, k >= 1, of the p2 recurrence up to ``upto``."""
+    return [k * k for k in range(1, isqrt(upto) + 1)]
+
+
+#: Offsets of both recurrences near 1000, where an entry starts to use a new
+#: term: 31^2, the pentagonal 1001 and 1027 (k = 26), 32^2, 1080 (k = 27)
+#: and 33^2.
+CHANGE_POINTS = (961, 1001, 1024, 1027, 1080, 1089)
+ONE_SHOT_SIZES = sorted(
+    {0, 1, 1023, 1024, 1025, 3079, *(g + d for g in CHANGE_POINTS for d in (-1, 0, 1))}
+)
+GROWTH_STEPS = (1, 7, 1023, 1025, 5000)
+#: Bound of the fill-history tests, which grow a table one offset at a time.
+HISTORY_BOUND = 2000
 
 
 @pytest.fixture(scope="module")
 def sequential_tables():
-    upto = max(3 * B + 7, sum(GROWTH_STEPS))
+    upto = max(*ONE_SHOT_SIZES, sum(GROWTH_STEPS))
     p, p2 = [1], [1]
     sequential_partition_table(p, upto)
     sequential_bipartition_table(p2, p, upto)
@@ -117,7 +141,7 @@ def sequential_tables():
 
 
 @pytest.mark.parametrize("upto", ONE_SHOT_SIZES)
-def test_blocked_one_shot_fill_matches_sequential(upto, sequential_tables):
+def test_one_shot_fill_matches_sequential(upto, sequential_tables):
     p_ref, p2_ref = sequential_tables
     p = [1]
     kernels.extend_partition_table(p, upto)
@@ -127,7 +151,7 @@ def test_blocked_one_shot_fill_matches_sequential(upto, sequential_tables):
     assert p2 == p2_ref[: upto + 1]
 
 
-def test_blocked_uneven_growth_matches_sequential(sequential_tables):
+def test_uneven_growth_matches_sequential(sequential_tables):
     p_ref, p2_ref = sequential_tables
     p, p2 = [1], [1]
     upto = 0
@@ -139,8 +163,45 @@ def test_blocked_uneven_growth_matches_sequential(sequential_tables):
         assert p2 == p2_ref[: upto + 1]
     # p2 by the convolution route over the same grown table
     conv = []
-    kernels.extend_self_convolution(conv, p, 3 * B + 7)
-    assert conv == p2_ref[: 3 * B + 8]
+    kernels.extend_self_convolution(conv, p, 3079)
+    assert conv == p2_ref[:3080]
+
+
+def test_growth_that_starts_each_fill_on_an_offset(sequential_tables):
+    # each fill ends one entry before an offset, so the next one starts
+    # with the table's length equal to that offset
+    p_ref, p2_ref = sequential_tables
+    p = [1]
+    for g in pentagonal_offsets(HISTORY_BOUND)[1:]:
+        kernels.extend_partition_table(p, g - 1)
+        assert len(p) == g
+        assert p == p_ref[:g]
+    p2 = [1]
+    for g in square_offsets(HISTORY_BOUND)[1:]:
+        kernels.extend_bipartition_table(p2, p_ref, g - 1)
+        assert len(p2) == g
+        assert p2 == p2_ref[:g]
+
+
+@pytest.mark.parametrize("before", [(-1, 0), (0,)], ids=["offset-and-one-before", "offset"])
+def test_fill_history_does_not_change_the_table(before, sequential_tables):
+    # fills that end on every offset, and in one history also one entry
+    # before it, against one fill: the first history starts every fill on an
+    # offset, the second crosses every offset inside a fill
+    p_ref, p2_ref = sequential_tables
+    p, p2 = [1], [1]
+    for upto in sorted({g + d for g in pentagonal_offsets(HISTORY_BOUND) for d in before}):
+        kernels.extend_partition_table(p, upto)
+    kernels.extend_partition_table(p, HISTORY_BOUND)
+    for upto in sorted({g + d for g in square_offsets(HISTORY_BOUND) for d in before}):
+        kernels.extend_bipartition_table(p2, p, upto)
+    kernels.extend_bipartition_table(p2, p, HISTORY_BOUND)
+    one_shot = [1]
+    kernels.extend_partition_table(one_shot, HISTORY_BOUND)
+    assert p == one_shot == p_ref[: HISTORY_BOUND + 1]
+    one_shot = [1]
+    kernels.extend_bipartition_table(one_shot, p, HISTORY_BOUND)
+    assert p2 == one_shot == p2_ref[: HISTORY_BOUND + 1]
 
 
 def test_partition_table_matches_dp_oracle():

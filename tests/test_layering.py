@@ -139,18 +139,26 @@ HEAVY = {"biparts.verify", "biparts.series", "dataclasses"}
 #: The writers of JSON and CSV output, loaded only by the commands that write them.
 WRITERS = {"json", "csv"}
 
+#: The count tables and the verify harness's recorder, which ``cli`` imports
+#: only in the commands that use them.
+TABLES = {"biparts.partitions", "biparts.kernels"}
+REPORT = {"biparts.report"}
+
 #: command line -> (modules it must load, modules it must not load)
 STARTUP = {
-    "": ({"biparts.cli"}, HEAVY | WRITERS | {"biparts.symbols"}),
-    "p 5": ({"biparts.rademacher"}, HEAVY | WRITERS | {"biparts.symbols"}),
-    "p2 5": ({"biparts.partitions"}, HEAVY | WRITERS | {"biparts.symbols", "biparts.rademacher"}),
-    "table --max 3": ({"biparts.symbols"}, HEAVY | WRITERS | {"biparts.rademacher"}),
-    "table --max 3 --format csv": ({"biparts.symbols", "csv"}, HEAVY | {"biparts.rademacher", "json"}),
+    "": ({"biparts.cli"}, HEAVY | WRITERS | TABLES | REPORT | {"biparts.symbols"}),
+    "p 5": ({"biparts.rademacher"}, HEAVY | WRITERS | TABLES | REPORT | {"biparts.symbols"}),
+    "p2 5": (TABLES, HEAVY | WRITERS | REPORT | {"biparts.symbols", "biparts.rademacher"}),
+    "table --max 3": ({"biparts.symbols"}, HEAVY | WRITERS | REPORT | {"biparts.rademacher"}),
+    "table --max 3 --format csv": (
+        {"biparts.symbols", "csv"},
+        HEAVY | REPORT | {"biparts.rademacher", "json"},
+    ),
     "symbols enumerate --rank 4 --defect 2": (
         {"biparts.symbols"},
-        HEAVY | WRITERS | {"biparts.rademacher"},
+        HEAVY | WRITERS | REPORT | {"biparts.rademacher"},
     ),
-    "verify euler --max 3": ({"biparts.verify", "biparts.series"}, WRITERS),
+    "verify euler --max 3": ({"biparts.verify", "biparts.series", *REPORT}, WRITERS),
     # verify imports the symbols and the Rademacher series only in the checks
     # that use them
     "verify lemma22 --max 1": (
