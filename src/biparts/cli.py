@@ -289,7 +289,9 @@ def _class_records(classes: Iterable, rank: int, defect: int) -> Iterator[tuple]
     for cls in classes:
         if not defect:
             special = symbols.is_special(cls)
-            degree = symbols.SpecialSymbol._of(cls).degree if special else None
+            # SpecialSymbol(cls).degree, the count of top-row entries missing
+            # from the bottom row, without testing cls a second time
+            degree = len(set(cls.top).difference(cls.bottom)) if special else None
         bipartition = symbols.to_bipartition(cls)
         top, bottom = bipartition.top.parts, bipartition.bottom.parts
         weight = sum(top)

@@ -9,20 +9,20 @@ the truncated square through that product, the inverse is a Newton
 iteration over it, and a binomial fold is a single slice assignment over
 the part of the list past the zeros its caller vouches for.
 
-The series product and the inverse take a route from the shape of their
-operands, with no option to choose it.  A series in q^g (every nonzero
-index a multiple of g > 1, in both operands of a product) is worked on as
-every g-th coefficient at order // g and spread back.  A product with an
-operand of at most :data:`SPARSE` (64) nonzero coefficients, such as a
-theta or pentagonal series, is that many shifted slice-adds of the other
-operand.  Everything else goes through Kronecker substitution.
+The series product takes a route from the shape of its operands, with no
+option to choose it.  A product with an operand of at most :data:`SPARSE`
+(64) nonzero coefficients, such as a theta or pentagonal series, is that
+many shifted slice-adds of the other operand.  Everything else goes
+through Kronecker substitution.  A series in q^g is multiplied like any
+other: the callers that know of such structure, the product expansion and
+the appendix check, work at order // g themselves and dilate.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import compress, count, islice, repeat
-from math import gcd, isqrt
+from math import isqrt
 from operator import add, itemgetter, lt, mul, neg, sub
 
 #: Name of the kernel implementation.  There is only this one; the constant
@@ -149,26 +149,6 @@ def _unpack(value: int, width: int, count: int) -> list:
     return list(map(add, slots, map(lt, [0] + slots[:-1], repeat(0))))
 
 
-def spread(coeffs: list, factor: int, order: int) -> list:
-    """Substitute q -> q^factor: coeffs[i] moves to index factor * i, up to
-    ``order``.  ``coeffs`` must hold at least order // factor + 1 entries."""
-    out = [0] * (order + 1)
-    out[::factor] = coeffs[: order // factor + 1]
-    return out
-
-
-def _stride(*operands: list) -> int:
-    """gcd of the indices of the operands' nonzero coefficients; 0 when none
-    has a nonzero coefficient past index 0."""
-    # the first nonzero index past 0 settles a dense operand at once
-    g = 0
-    for coeffs in operands:
-        g = gcd(g, next(compress(count(1), islice(coeffs, 1, None)), 0))
-    if g > 1:
-        g = gcd(g, *(i for coeffs in operands for i in compress(count(), coeffs)))
-    return g
-
-
 #: Most nonzero coefficients of an operand that :func:`mul_series`
 #: multiplies term by term, by shifted slice-adds.  In a sweep on a 2-CPU
 #: host (an operand of k nonzero coefficients, mostly +-1 and +-2, times a
@@ -184,29 +164,16 @@ SPARSE = 64
 def mul_series(a: list, b: list, order: int) -> list:
     """Cauchy product of coefficient lists, truncated at ``order``.
 
-    The route follows the operands' shape.  When every nonzero index of both
-    is a multiple of some g > 1 (series in q^g), the product is taken of
-    every g-th coefficient at order // g and spread back.  Otherwise, when
-    one operand has at most :data:`SPARSE` nonzero coefficients, it is the
-    sum of that many shifted copies of the other (:func:`_mul_sparse`);
-    else both go through Kronecker substitution (:func:`_mul_kronecker`).
-    Missing trailing coefficients count as zero.
+    When one operand has at most :data:`SPARSE` nonzero coefficients, the
+    product is the sum of that many shifted copies of the other
+    (:func:`_mul_sparse`); else both go through Kronecker substitution
+    (:func:`_mul_kronecker`).  Missing trailing coefficients count as zero.
     """
     square = a is b
     a = a[: order + 1]
     b = a if square else b[: order + 1]
-    g = _stride(a) if square else _stride(a, b)
-    if g < 2:
-        return _mul(a, b, order)
-    a = a[::g]
-    return spread(_mul(a, a if square else b[::g], order // g), g, order)
-
-
-def _mul(a: list, b: list, order: int) -> list:
-    """:func:`mul_series` past the stride test, on operands already cut to
-    ``order + 1`` coefficients; ``a is b`` for a square."""
     terms_a = list(islice(compress(count(), a), SPARSE + 1))
-    terms_b = terms_a if a is b else list(islice(compress(count(), b), SPARSE + 1))
+    terms_b = terms_a if square else list(islice(compress(count(), b), SPARSE + 1))
     if not terms_a or not terms_b:
         return [0] * (order + 1)
     if len(terms_b) < len(terms_a):
@@ -251,25 +218,14 @@ def _mul_kronecker(a: list, b: list, order: int) -> list:
 def invert_series(a: list, order: int) -> list:
     """Multiplicative inverse of a coefficient list with constant term +-1.
 
-    A series in q^g, g > 1, is inverted from every g-th coefficient at
-    order // g and spread back.  Otherwise Newton iteration g <- g (2 - a g)
-    over :func:`mul_series`: each step doubles the number of correct
-    coefficients, and since a g = 1 below the old precision m only the part
-    of a g from q^m up is multiplied back.
+    Newton iteration g <- g (2 - a g) over :func:`mul_series`: each step
+    doubles the number of correct coefficients, and since a g = 1 below the
+    old precision m only the part of a g from q^m up is multiplied back.
     """
     c0 = a[0]
     if c0 != 1 and c0 != -1:
         raise ValueError("series inversion requires constant term +1 or -1")
-    a = a[: order + 1]
-    g = _stride(a)
-    if g < 2:
-        return _invert(a, order)
-    return spread(_invert(a[::g], order // g), g, order)
-
-
-def _invert(a: list, order: int) -> list:
-    """The Newton iteration of :func:`invert_series`."""
-    out = [a[0]]
+    out = [c0]
     while len(out) <= order:
         m = len(out)
         n = min(2 * m, order + 1)

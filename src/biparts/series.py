@@ -132,7 +132,9 @@ class TruncatedSeries:
             raise ValueError(
                 f"dilation by {factor} to order {order} needs source order {need}"
             )
-        return TruncatedSeries(order, kernels.spread(self.coeffs, factor, order))
+        coeffs = [0] * (order + 1)
+        coeffs[::factor] = self.coeffs[: need + 1]
+        return TruncatedSeries(order, coeffs)
 
     def __repr__(self) -> str:
         terms = [
@@ -176,7 +178,7 @@ def product_series(factors: Iterable[tuple[int, int, int]], order: int) -> Trunc
     if g < 2:
         return _expand(factors, order)
     reduced = [(offset // g, step // g, exponent) for offset, step, exponent in factors]
-    return TruncatedSeries(order, kernels.spread(_expand(reduced, order // g).coeffs, g, order))
+    return _expand(reduced, order // g).dilate(g, order)
 
 
 def _expand(factors: list[tuple[int, int, int]], order: int) -> TruncatedSeries:

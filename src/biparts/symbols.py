@@ -35,15 +35,6 @@ class Symbol:
         self.top = self._check_row(tuple(top))
         self.bottom = self._check_row(tuple(bottom))
 
-    @classmethod
-    def _of(cls, top: tuple[int, ...], bottom: tuple[int, ...]) -> "Symbol":
-        """The symbol of two tuples its caller built strictly decreasing and
-        nonnegative; nothing is checked, so only generators use it."""
-        self = object.__new__(cls)
-        self.top = top
-        self.bottom = bottom
-        return self
-
     @staticmethod
     def _check_row(row: tuple[int, ...]) -> tuple[int, ...]:
         for i, value in enumerate(row):
@@ -262,23 +253,12 @@ class SpecialSymbol:
     def __init__(self, symbol: Symbol):
         if not is_special(symbol):
             raise ValueError(f"symbol {symbol} is not special")
-        self._split(symbol)
-
-    @classmethod
-    def _of(cls, symbol: Symbol) -> "SpecialSymbol":
-        """The special symbol of ``symbol``, which its caller has found
-        special by :func:`is_special`; nothing is checked again."""
-        self = object.__new__(cls)
-        self._split(symbol)
-        return self
-
-    def _split(self, symbol: Symbol) -> None:
         common = set(symbol.top) & set(symbol.bottom)
         self.symbol = symbol
         self.common = tuple(common)
-        self.singles = Symbol._of(
-            tuple([a for a in symbol.top if a not in common]),
-            tuple([b for b in symbol.bottom if b not in common]),
+        self.singles = Symbol(
+            [a for a in symbol.top if a not in common],
+            [b for b in symbol.bottom if b not in common],
         )
         self.degree = len(self.singles.top)
 

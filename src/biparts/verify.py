@@ -338,11 +338,15 @@ def check_fifth_dissections(order: int, recorder: Recorder) -> CheckReport:
     }
     tables = (DISSECTION_FACTOR_TERMS, *residue_terms.values())
     span = max(abs(c_exp) for terms in tables for c_exp, _, _ in terms)
-    powers = _laurent_powers(series.rogers_ramanujan_c(order), span)
+    # c = R(q^5) and both prefactors are series in q^5: R's powers and
+    # (q^5;q^5)^5/(q;q)^6 with its square are taken at order // 5 and dilated
+    low = order // 5
+    r_powers = _laurent_powers(series.product_series(series.ROGERS_RAMANUJAN_FACTORS, low), span)
+    powers = {k: power.dilate(5, order) for k, power in r_powers.items()}
     factor = _laurent_combination(DISSECTION_FACTOR_TERMS, powers, order)
-    prefactor5 = series.product_series([(25, 25, 5), (5, 5, -6)], order)
-    # (q^25;q^25)^10/(q^5;q^5)^12, the bipartition prefactor, is its square
-    prefactor10 = prefactor5 * prefactor5
+    prefactor = series.product_series([(5, 5, 5), (1, 1, -6)], low)
+    prefactor5 = prefactor.dilate(5, order)
+    prefactor10 = (prefactor * prefactor).dilate(5, order)
 
     children = [
         compare_series(
@@ -497,7 +501,7 @@ def check_family_partition(bound: int, recorder: Recorder) -> CheckReport:
             if d
             for cls in symbols.enumerate_classes(n, d)
         )
-        specials = map(symbols.SpecialSymbol._of, filter(symbols.is_special, zero))
+        specials = map(symbols.SpecialSymbol, filter(symbols.is_special, zero))
         children.append(
             recorder.compare(
                 f"families.n{n}",

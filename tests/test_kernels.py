@@ -337,9 +337,9 @@ MUL_CASES = {
     "shorter operands": ([5, 0, -3, 0, 9], mixed_coefficients(25, 9, 8), 20),
 }
 
-#: The routes each case of MUL_CASES calls, in the order they return:
-#: "sparse" or "kronecker", and for series in q^g the route of the compressed
-#: operands, then "strided" for the spread; none for a zero operand.
+#: The route each case of MUL_CASES calls: "sparse" or "kronecker", none for
+#: a zero operand.  A series in q^g takes the route of its nonzero count like
+#: any other.
 MUL_ROUTES = {
     "negative": ["sparse"],
     "200-bit": ["sparse"],
@@ -356,11 +356,11 @@ MUL_ROUTES = {
     "sparse at the cutoff": ["sparse"],
     "past the cutoff": ["kronecker"],
     "sparse and short": ["sparse"],
-    "both stride 5": ["sparse", "strided"],
-    "stride 5 squared": ["sparse", "strided"],
+    "both stride 5": ["sparse"],
+    "stride 5 squared": ["sparse"],
     "stride 2 against 3": ["sparse"],
-    "dense stride 2 against 4": ["kronecker", "strided"],
-    "stride 25 and short": ["sparse", "strided"],
+    "dense stride 2 against 4": ["kronecker"],
+    "stride 25 and short": ["sparse"],
     "constants only": ["sparse"],
     "constant times series": ["sparse"],
     "shorter operands": ["sparse"],
@@ -377,7 +377,7 @@ def test_mul_series_matches_schoolbook(case):
 @pytest.mark.parametrize("name", MUL_CASES)
 def test_mul_series_takes_the_route_of_its_operands(name, monkeypatch):
     routes = []
-    spies = (("strided", "spread"), ("sparse", "_mul_sparse"), ("kronecker", "_mul_kronecker"))
+    spies = (("sparse", "_mul_sparse"), ("kronecker", "_mul_kronecker"))
     for route, attribute in spies:
         original = getattr(kernels, attribute)
         monkeypatch.setattr(
@@ -420,8 +420,8 @@ def test_sparse_mul_series_matches_naive(a, b, order):
 )
 @settings(max_examples=80)
 def test_strided_mul_series_matches_naive(a, b, g, h, order):
-    # strides g and g * h share g; a constant-only or empty operand leaves
-    # the other's stride
+    # series in q^g and q^(g h), such as the appendix's series in q^5, and
+    # constant-only or empty operands among them
     a, b = dilated(a or [0], g), dilated(b or [0], g * h)
     expected = naive_convolution(a, b, order)
     assert kernels.mul_series(a, b, order) == expected

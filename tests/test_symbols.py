@@ -359,16 +359,18 @@ class TestSpecials:
         with pytest.raises(ValueError):
             SpecialSymbol(Symbol.parse("4,0;-"))
 
-    def test_unchecked_constructor_matches_the_public_one(self):
+    def test_splits_every_special_class_into_common_entries_and_singles(self):
         for n in range(9):
             for cls in filter(is_special, enumerate_classes(n, 0)):
-                checked, unchecked = SpecialSymbol(cls), SpecialSymbol._of(cls)
-                assert type(unchecked) is SpecialSymbol
-                assert unchecked.symbol is cls
-                assert sorted(unchecked.common) == sorted(checked.common)
-                assert unchecked.singles == checked.singles
-                assert unchecked.degree == checked.degree
-                assert unchecked.family() == checked.family()
+                z = SpecialSymbol(cls)
+                assert z.symbol is cls
+                assert type(z.singles) is Symbol
+                common = set(z.common)
+                assert len(common) == len(z.common)
+                assert common == set(cls.top) & set(cls.bottom)
+                assert sorted(common | set(z.singles.top), reverse=True) == list(cls.top)
+                assert sorted(common | set(z.singles.bottom), reverse=True) == list(cls.bottom)
+                assert z.degree == len(z.singles.top) == len(z.singles.bottom)
 
     def test_singles_examples(self):
         assert str(SpecialSymbol(Symbol.parse("4,1;1,0")).singles) == "4;0"
@@ -519,7 +521,7 @@ class TestFamilies:
         members = 0
         for n in range(13):
             for cls in filter(is_special, enumerate_classes(n, 0)):
-                z = SpecialSymbol._of(cls)
+                z = SpecialSymbol(cls)
                 family = z.family()
                 assert family == list(reference(z)), str(cls)
                 for member in family:
