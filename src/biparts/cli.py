@@ -19,7 +19,7 @@ import argparse
 import contextlib
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence, TextIO
 
 if TYPE_CHECKING:
@@ -151,8 +151,10 @@ def _emit(write: Callable[[TextIO], object], out: str | None) -> None:
             raise argparse.ArgumentError(None, f"cannot write {where}: {exc.strerror}")
 
 
-#: Records encoded by one encoder call in a JSON listing.
-CHUNK = 1024
+#: Records rendered together in a JSON or CSV listing.  A chunk's text is
+#: held whole before it leaves, so a larger chunk only raises the peak: at
+#: 1024 records, listings peaked 0.7-1.0 MB higher in RSS, no faster.
+CHUNK = 256
 
 #: Characters collected before a write: stdout flushes every write when
 #: PYTHONUNBUFFERED is set, so record output leaves in blocks this large.
@@ -187,14 +189,16 @@ def _write_records(
     """Tuples of values in the order of ``columns`` -> JSON objects keyed by
     ``columns``, CSV rows or text table; None renders as null, empty or ``-``.
 
-    JSON is rendered :data:`CHUNK` records at a time and CSV one record at
-    a time, byte for byte as
-    ``json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n"``
+    JSON and CSV are rendered :data:`CHUNK` records at a time, byte for byte
+    as ``json.dumps([dict(zip(columns, r)) for r in records], indent=2) + "\n"``
     and as ``csv.writer`` rows under a header of ``columns``, and leave in
-    blocks of at least :data:`BLOCK` characters.  The text table renders
-    each cell once and holds every rendered row, because each column but
-    the last is padded to its widest rendered cell.  An empty listing is
-    ``[]`` in JSON and the header line alone in CSV and text.
+    blocks of at least :data:`BLOCK` characters.  JSON encodes a chunk one
+    column at a time; a CSV chunk of values that are all exactly ``int``
+    fills one ``%d`` line template per record, and any other chunk goes
+    through ``csv.writer``.  The text table renders each cell once and holds
+    every rendered row, because each column but the last is padded to its
+    widest rendered cell.  An empty listing is ``[]`` in JSON and the header
+    line alone in CSV and text.
     """
     if fmt == "text":
         rows = [list(columns), *(["-" if v is None else str(v) for v in r] for r in records)]
@@ -203,30 +207,35 @@ def _write_records(
         out.write("\n".join("  ".join(map(str.ljust, row, widths)) for row in rows) + "\n")
         return
     blocks = _Blocks(out)
+    records = iter(records)
     if fmt == "csv":
         import csv
 
         writer = csv.writer(blocks, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows(records)
+        # "%d" % v is str(v) for an exact int, but "1" for True, which csv
+        # prints as True, so a chunk takes the template only if all are ints
+        line = ",".join(["%d"] * len(columns)) + "\n"
+        while chunk := list(islice(records, CHUNK)):
+            if set(map(type, chain.from_iterable(chunk))) == {int}:
+                blocks.write("".join(map(line.__mod__, chunk)))
+            else:
+                writer.writerows(chunk)
     else:
         import json
 
-        # encodes a list of flat records, tuples of scalars, as
-        # [[v1,\n    v2],\n    [v1,\n    v2]]: each record's values in the
-        # layout of an entry of json.dumps(records, indent=2), encoded in C,
-        # since json does so only without indent.  An encoded string holds no
-        # newline, so splitting on '],\n    [' gives the records and on
-        # ',\n    ' their values.
+        # encodes a column as [v1,\n    v2,\n    v3]: its values in the layout
+        # of an entry of json.dumps(records, indent=2), encoded in C, since
+        # json does so only without indent.  An encoded value holds no raw
+        # newline, so splitting on ',\n    ' gives the values.
         encode = json.JSONEncoder(separators=(",\n    ", ": ")).encode
         # one '"key": %s' slot per column, filled with each record's values
         template = ",\n    ".join(encode(key).replace("%", "%%") + ": %s" for key in columns)
         opening, closing = "[\n  {\n    ", "[]\n"
-        records = iter(records)
         while chunk := list(islice(records, CHUNK)):
-            for values in encode(chunk)[2:-2].split("],\n    ["):
-                blocks.write(opening + template % tuple(values.split(",\n    ")))
-                opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
+            values = [encode(column)[1:-1].split(",\n    ") for column in zip(*chunk)]
+            blocks.write(opening + "\n  },\n  {\n    ".join(map(template.__mod__, zip(*values))))
+            opening, closing = "\n  },\n  {\n    ", "\n  }\n]\n"
         blocks.write(closing)
     blocks.flush()
 
@@ -255,35 +264,25 @@ def _table_records(bound: int) -> Iterator[tuple]:
     yield from zip(range(bound + 1), p, p2, p_half, phi_plus, phi_minus)
 
 
-class _RowTexts(dict):
-    """Row tuple -> its text by ``render``, each row rendered at its first
-    lookup."""
-
-    def __init__(self, render: Callable[[tuple[int, ...]], str]):
-        self.render = render
-
-    def __missing__(self, row: tuple[int, ...]) -> str:
-        text = self[row] = self.render(row)
-        return text
-
-
 def _class_records(classes: Iterable, rank: int, defect: int) -> Iterator[tuple]:
-    """The records of ``classes``, all of the given rank and defect, each row
-    tuple, of a symbol or of its bipartition, formatted once through a dict
-    local to the call.
+    """The records of ``classes``, all of the given rank and defect.
 
-    Rows recur mostly among the classes of one weight of the bipartition's
-    top row, which :func:`symbols.iter_classes` lists together, so the dict
-    is emptied whenever that weight changes, to keep its memory small: for
-    rank 22, defect 2 it holds at most 1605 of the listing's 11 070
-    distinct rows (kept, they took about 3 MB) and formats 19 944 of the
-    140 008 rows looked up.  Any order of ``classes`` gives the same records.
-    Only a class of defect 0 can be special.
+    The staircase map acts on each row by itself: a symbol row less its own
+    staircase, zeros dropped, is its bipartition row.  So one dict local to
+    the call maps each symbol row to its text and the text of its
+    bipartition row, and :func:`symbols.to_bipartition` runs only for a
+    class with a row not yet in it.  Rows recur mostly among the classes of
+    one weight of the bipartition's top row, which
+    :func:`symbols.iter_classes` lists together, so the dict is emptied
+    whenever that weight changes, to keep its memory small: for rank 22,
+    defect 2 it holds at most 813 rows, and 12 569 of the 35 002 classes
+    run the map.  Any order of ``classes`` gives the same records.  Only a
+    class of defect 0 can be special.
     """
     from biparts import symbols
     from biparts.partitions import _format_row
 
-    texts = _RowTexts(_format_row)
+    rows: dict[tuple[int, ...], tuple[str, str]] = {}
     top_weight = None
     special, degree = False, None
     for cls in classes:
@@ -292,20 +291,21 @@ def _class_records(classes: Iterable, rank: int, defect: int) -> Iterator[tuple]
             # SpecialSymbol(cls).degree, the count of top-row entries missing
             # from the bottom row, without testing cls a second time
             degree = len(set(cls.top).difference(cls.bottom)) if special else None
-        bipartition = symbols.to_bipartition(cls)
-        top, bottom = bipartition.top.parts, bipartition.bottom.parts
-        weight = sum(top)
+        top, bottom = cls.top, cls.bottom
+        m = len(top)
+        weight = sum(top) - m * (m - 1) // 2
         if weight != top_weight:
-            texts.clear()
+            rows.clear()
             top_weight = weight
-        yield (
-            f"{texts[cls.top]};{texts[cls.bottom]}",
-            rank,
-            defect,
-            f"{texts[top]}|{texts[bottom]}",
-            special,
-            degree,
-        )
+        if top not in rows or bottom not in rows:
+            image = symbols.to_bipartition(cls)
+            if top not in rows:
+                rows[top] = (_format_row(top), _format_row(image.top.parts))
+            if bottom not in rows:
+                rows[bottom] = (_format_row(bottom), _format_row(image.bottom.parts))
+        (top_text, top_image), (bottom_text, bottom_image) = rows[top], rows[bottom]
+        bipartition = f"{top_image}|{bottom_image}"
+        yield f"{top_text};{bottom_text}", rank, defect, bipartition, special, degree
 
 
 def _cmd_symbols_enumerate(args) -> Outcome:
